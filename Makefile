@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection and budget for `make bench`. CI overrides
 # BENCHTIME to keep runs short; the committed BENCH_results.json is
 # produced at the default 1s.
-BENCH ?= BenchmarkOperatorProcess|BenchmarkShedderDecision|BenchmarkPipelineShards/nodelay|BenchmarkEngineFanout/nodelay|BenchmarkCodecDecode|BenchmarkWALAppend
+BENCH ?= BenchmarkOperatorProcess|BenchmarkShedderDecision|BenchmarkPipelineShards/nodelay|BenchmarkEngineFanout/nodelay|BenchmarkCodecDecode|BenchmarkWALAppend|BenchmarkServerDurableIngest
 BENCHTIME ?= 1s
 BENCHLABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 
@@ -11,7 +11,7 @@ BENCHLABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 # goes through `go test -fuzz` directly).
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-skew bench-figures fmt vet doccheck fuzz-smoke loadtest killtest chaostest fairtest
+.PHONY: build test bench bench-skew bench-e2e bench-figures fmt vet doccheck fuzz-smoke loadtest killtest chaostest fairtest
 
 build:
 	$(GO) build ./...
@@ -25,9 +25,11 @@ test: vet doccheck
 # through a temp file so a failing/panicking benchmark fails the target
 # instead of being masked by the pipe. Before appending, the run is
 # compared against the committed trajectory (>15% ns/op or any zero-alloc
-# gate regression); the `-` prefix keeps the report non-blocking.
+# gate regression); the `-` prefix keeps the report non-blocking. The
+# suite spans the facade package and internal/transport (the loopback
+# durable-ingest benchmark needs the server's unexported test helpers).
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime=$(BENCHTIME) -benchmem . > bench.out \
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime=$(BENCHTIME) -benchmem . ./internal/transport > bench.out \
 		|| { cat bench.out; rm -f bench.out; exit 1; }
 	cat bench.out
 	-$(GO) run ./cmd/benchjson compare -baseline BENCH_results.json < bench.out
@@ -54,6 +56,13 @@ bench-skew:
 		|| { rm -f bench-skew.out; exit 1; }
 	$(GO) run ./cmd/benchjson -out BENCH_results.json -label $(BENCHLABEL) < bench-skew.out
 	rm -f bench-skew.out
+
+# The repository's end-to-end benchmark (BENCHMARK.json): four workloads
+# through the whole loopback stack, one process each, ~20 s per
+# workload. It is a Go module of its own, outside `go build ./...`; see
+# benchmarks/README.md for the metrics and the paired-comparison recipe.
+bench-e2e:
+	$(GO) run -C benchmarks/e2e . -workload all
 
 # Full figure-reproduction sweep (slow; one iteration each).
 bench-figures:

@@ -105,6 +105,20 @@ const (
 // out-of-range type ids, oversized counts — returns an error and never
 // panics or reads past the payload.
 func (d *Decoder) DecodeEvents(payload []byte) ([]event.Event, error) {
+	events, err := d.appendEvents(d.events[:0], payload)
+	if err != nil {
+		return nil, err
+	}
+	d.events = events
+	return events, nil
+}
+
+// appendEvents decodes one FrameEvents payload onto dst and returns the
+// extended slice — how the server gathers the frames of one run into a
+// single event slab. Only the Vals arena is decoder scratch; with Retain
+// each call still detaches its own slab, so earlier frames' events stay
+// intact. On error dst's first len(dst) elements are untouched.
+func (d *Decoder) appendEvents(dst []event.Event, payload []byte) ([]event.Event, error) {
 	maxVals := d.MaxVals
 	if maxVals <= 0 {
 		maxVals = DefaultMaxVals
@@ -127,7 +141,7 @@ func (d *Decoder) DecodeEvents(payload []byte) ([]event.Event, error) {
 	if count > uint64(len(payload)/minEventWire+1) {
 		return nil, fmt.Errorf("transport: event count %d exceeds payload", count)
 	}
-	events := d.events[:0]
+	events, base := dst, len(dst)
 	arena := d.arena[:0]
 	extents := d.extents[:0]
 	for i := uint64(0); i < count; i++ {
@@ -192,12 +206,12 @@ func (d *Decoder) DecodeEvents(payload []byte) ([]event.Event, error) {
 		vals = make([]float64, len(arena))
 		copy(vals, arena)
 	}
-	for i := range events {
-		if ext := extents[i]; ext.n > 0 {
-			events[i].Vals = vals[ext.start : ext.start+ext.n : ext.start+ext.n]
+	for i, ext := range extents {
+		if ext.n > 0 {
+			events[base+i].Vals = vals[ext.start : ext.start+ext.n : ext.start+ext.n]
 		}
 	}
-	d.events, d.arena, d.extents = events, arena, extents
+	d.arena, d.extents = arena, extents
 	return events, nil
 }
 

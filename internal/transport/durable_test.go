@@ -20,6 +20,7 @@ type memJournal struct {
 }
 
 type memBatch struct {
+	seq      uint64 // journal sequence Append assigned
 	session  uint64
 	batchSeq uint64
 	count    int
@@ -34,6 +35,7 @@ func (j *memJournal) Append(session, batchSeq uint64, count int, maxTS event.Tim
 	defer j.mu.Unlock()
 	j.seq++
 	j.batches = append(j.batches, memBatch{
+		seq:      j.seq,
 		session:  session,
 		batchSeq: batchSeq,
 		count:    count,
@@ -49,9 +51,14 @@ func (j *memJournal) Commit(seq uint64) error {
 	if j.failAt != 0 && seq == j.failAt {
 		j.failAt = 0
 		j.fails++
-		// The record is not durable: drop it, as a poisoned-and-
-		// restarted WAL would.
-		j.batches = j.batches[:len(j.batches)-1]
+		// The record is not durable, and neither is anything staged
+		// behind it: drop them, as a poisoned-and-restarted WAL would.
+		for i, b := range j.batches {
+			if b.seq >= seq {
+				j.batches = j.batches[:i]
+				break
+			}
+		}
 		return errJournalDown
 	}
 	return nil

@@ -66,6 +66,16 @@ func runPipelineInProcess(t *testing.T, q queries.Query, shards int, events []ev
 // transport path: client -> loopback TCP -> server -> pipeline.
 func runPipelineOverWire(t *testing.T, meta *datasets.RTLSMeta, q queries.Query, shards int, events []event.Event) []operator.ComplexEvent {
 	t.Helper()
+	return runPipelineOverWireJournaled(t, meta, q, shards, events, nil)
+}
+
+// runPipelineOverWireJournaled is runPipelineOverWire with an optional
+// gated journal in front of the pipeline. With one, the producer is a
+// durable session and writes its first full credit window while the
+// journal's first Commit is still parked, so the server's runs start
+// with a whole window in flight.
+func runPipelineOverWireJournaled(t *testing.T, meta *datasets.RTLSMeta, q queries.Query, shards int, events []event.Event, journal *gateJournal) []operator.ComplexEvent {
+	t.Helper()
 	pipe, err := runtime.New(runtime.Config{
 		Operator: operator.Config{Window: q.Window, Patterns: q.Patterns},
 		Shards:   shards,
@@ -84,10 +94,26 @@ func runPipelineOverWire(t *testing.T, meta *datasets.RTLSMeta, q queries.Query,
 		}
 	}()
 
-	srv := startServer(t, ServerConfig{Sink: pipe, Registry: meta.Registry})
-	client, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: 128})
+	scfg := ServerConfig{Sink: pipe, Registry: meta.Registry}
+	ccfg := ClientConfig{BatchEvents: 128}
+	if journal != nil {
+		scfg.Journal, scfg.Window, ccfg.Session = journal, 8*ccfg.BatchEvents, 11
+	}
+	srv := startServer(t, scfg)
+	ccfg.Addr = srv.Addr().String()
+	client, err := Dial(ccfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	total := len(events)
+	if journal != nil {
+		// Exactly one window: SubmitBatch returns with all of it written
+		// and none of it acked.
+		if err := client.SubmitBatch(events[:scfg.Window]); err != nil {
+			t.Fatal(err)
+		}
+		close(journal.gate)
+		events = events[scfg.Window:]
 	}
 	if err := client.SubmitBatch(events); err != nil {
 		t.Fatal(err)
@@ -96,8 +122,8 @@ func runPipelineOverWire(t *testing.T, meta *datasets.RTLSMeta, q queries.Query,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Accepted != uint64(len(events)) {
-		t.Fatalf("server accepted %d of %d events", st.Accepted, len(events))
+	if st.Accepted != uint64(total) {
+		t.Fatalf("server accepted %d of %d events", st.Accepted, total)
 	}
 	// Close returned, so every event sits in the pipeline's queue; the
 	// server is no longer needed and the stream can be sealed.
@@ -134,6 +160,22 @@ func TestWireEquivalenceSerial(t *testing.T) {
 	want := runPipelineInProcess(t, q, 1, events)
 	got := runPipelineOverWire(t, meta, q, 1, events)
 	diffComplexEvents(t, "serial", want, got)
+}
+
+// TestWireEquivalenceJournaled puts the group-committing journal stage
+// in front of the serial pipeline: frames staged and committed a run at
+// a time, a whole window of them at first, detect exactly what the
+// in-process replay detects.
+func TestWireEquivalenceJournaled(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	meta, events, q := equivStream(t)
+	want := runPipelineInProcess(t, q, 1, events)
+	journal := &gateJournal{gate: make(chan struct{})}
+	got := runPipelineOverWireJournaled(t, meta, q, 1, events, journal)
+	diffComplexEvents(t, "journaled", want, got)
+	if _, rounds, _ := journal.state(); uint64(rounds) >= journal.lastSeq {
+		t.Fatalf("%d sync rounds for %d journaled frames: no run held more than one frame", rounds, journal.lastSeq)
+	}
 }
 
 // TestWireEquivalenceSharded covers the sharded deployment: the

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"net"
 	"testing"
 
 	"repro/internal/event"
@@ -46,12 +47,36 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
+// stubConn is the write side of a connection handler under test: it
+// keeps what the handler sends and is never read.
+type stubConn struct {
+	net.Conn
+	sent bytes.Buffer
+}
+
+func (c *stubConn) Write(p []byte) (int, error) { return c.sent.Write(p) }
+func (c *stubConn) RemoteAddr() net.Addr        { return &net.TCPAddr{} }
+
 // FuzzServerFrame hardens the frame layer: arbitrary byte streams fed
 // through the scanner in arbitrary chunkings must never panic or
 // over-read, must respect the frame bound, and must produce the same
-// frame sequence regardless of chunking.
+// frame sequence regardless of chunking. The same streams then go
+// through the journaled connection handler, once as a single run and
+// once a chunk per read: where the reads fall must change neither what
+// reaches the sink nor a byte of the replies.
 func FuzzServerFrame(f *testing.F) {
 	var enc Encoder
+	// Several frames per read on a journaled durable session: a
+	// contiguous run, a retransmit of a batch staged in the same run, a
+	// gap, and control frames between events frames.
+	session := append(uvarintFrame(FrameHello, 7), seqFrame(1, genEvents(3))...)
+	session = append(session, seqFrame(2, genEvents(2))...)
+	session = append(session, seqFrame(2, genEvents(2))...)
+	session = append(session, seqFrame(3, genEvents(1))...)
+	f.Add(AppendFrame(AppendFrame(bytes.Clone(session), FrameStatsReq, nil), FrameEOF, nil), uint8(0))
+	f.Add(append(bytes.Clone(session), seqFrame(9, genEvents(1))...), uint8(7))
+	plain := AppendFrame(nil, FrameEvents, enc.AppendEvents(nil, genEvents(5)))
+	f.Add(bytes.Repeat(plain, 4), uint8(15))
 	f.Add(AppendFrame(nil, FrameEvents, enc.AppendEvents(nil, genEvents(3))), uint8(1))
 	f.Add(AppendFrame(nil, FrameEOF, nil), uint8(0))
 	f.Add(AppendCreditFrame(nil, 1<<40), uint8(3))
@@ -110,6 +135,46 @@ func FuzzServerFrame(f *testing.F) {
 			if fr.typ == FrameEvents {
 				_, _ = dec.DecodeEvents(fr.payload)
 			}
+		}
+
+		const window = 1 << 16
+		if len(data) >= window*minEventWire {
+			return // only an overspending producer depends on where reads fall
+		}
+		serve := func(step int) (replies []byte, delivered []event.Event, failed bool) {
+			sink, journal, conn := &collectSink{}, &memJournal{}, &stubConn{}
+			srv, err := NewServer(ServerConfig{Sink: sink, Journal: journal, Window: window, MaxFrame: maxFrame})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &binaryConn{s: srv, conn: conn, dec: Decoder{Retain: true, MaxVals: 64, MaxBatch: 4096}}
+			defer c.release()
+			if err := c.admit(nil); err != nil {
+				t.Fatal(err)
+			}
+			scan := newFrameScanner(maxFrame)
+			for off := 0; off < len(data) && !failed; off += step {
+				scan.Feed(data[off:min(off+step, len(data))])
+				failed = c.run(scan) != nil
+				if c.locked || len(c.staged) != 0 || len(c.out) != 0 {
+					t.Fatalf("run left state behind: locked=%v staged=%d unsent=%d", c.locked, len(c.staged), len(c.out))
+				}
+			}
+			delivered = sink.snapshot()
+			var journaled int
+			for _, b := range journal.snapshot() {
+				journaled += b.count
+			}
+			if journaled != len(delivered) {
+				t.Fatalf("journal holds %d events, sink %d", journaled, len(delivered))
+			}
+			return conn.sent.Bytes(), delivered, failed
+		}
+		oneRun, oneEvents, oneFailed := serve(len(data) + 1)
+		perRead, perEvents, perFailed := serve(step)
+		if oneFailed != perFailed || !bytes.Equal(oneRun, perRead) || !eventsEqual(oneEvents, perEvents) {
+			t.Fatalf("read boundaries changed the outcome (step %d): failed %v/%v, %d/%d reply bytes, %d/%d events",
+				step, oneFailed, perFailed, len(oneRun), len(perRead), len(oneEvents), len(perEvents))
 		}
 	})
 }

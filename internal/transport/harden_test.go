@@ -133,73 +133,80 @@ func TestDegradedJournalLossyAcks(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	sink := &collectSink{}
 	journal := &flakyJournal{}
-	// Window == batch size: every flush must consume the previous ack
-	// before it can spend credit, so the client's degraded view tracks
-	// the server's deterministically.
-	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: 4})
+	// Window == batch size: the whole window is spent on one batch and
+	// comes back only with that batch's ack, so awaiting the credit is
+	// awaiting the ack — every phase below starts with the previous
+	// batch settled on both ends.
+	const per = 4
+	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: per})
 
-	c, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: 4, Session: 7})
+	c, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: per, Session: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := genEvents(12)
+	events := genEvents(4 * per)
+	sendAcked := func(batch int) {
+		t.Helper()
+		if err := c.SubmitBatch(events[(batch-1)*per : batch*per]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.waitCredit(per); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Batch 1: healthy.
-	if err := c.SubmitBatch(events[:4]); err != nil {
-		t.Fatal(err)
-	}
+	sendAcked(1)
 	if c.Degraded() {
 		t.Fatal("client degraded before any journal fault")
 	}
 
-	// Batches 2 and 3: degraded. The second flush consumes batch 2's
-	// flagged ack while waiting for credit.
+	// Batches 2 and 3: degraded, each acked with the flag.
 	journal.setDegraded(true)
-	if err := c.SubmitBatch(events[4:8]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SubmitBatch(events[8:12]); err != nil {
-		t.Fatal(err)
-	}
+	sendAcked(2)
 	if !c.Degraded() {
 		t.Fatal("client did not observe the degraded ack")
 	}
+	sendAcked(3)
 	sst := srv.Stats()
 	if !sst.Degraded || sst.DegradedSince.IsZero() {
 		t.Fatalf("server not degraded: %+v", sst)
 	}
-	if sst.LostDurability == 0 {
-		t.Fatalf("LostDurability not counted: %+v", sst)
+	if sst.LostDurability != 2*per {
+		t.Fatalf("LostDurability = %d, want %d: %+v", sst.LostDurability, 2*per, sst)
 	}
 
-	// Heal; Close drains the remaining acks and the final healthy ack
-	// clears the client's bit. Durable close implies Sent == Accepted.
+	// Heal: the next batch is journaled again and its clean ack clears
+	// the bit on both ends.
 	journal.setDegraded(false)
+	sendAcked(4)
+	if c.Degraded() {
+		t.Error("client still degraded after the journal healed")
+	}
+	if sst = srv.Stats(); sst.Degraded || !sst.DegradedSince.IsZero() {
+		t.Errorf("server still degraded after heal: %+v", sst)
+	}
 	st, err := c.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Sent != 12 || st.Accepted != 12 {
+	if st.Sent != 4*per || st.Accepted != 4*per {
 		t.Fatalf("client stats: %+v", st)
 	}
-	if st.DegradedAcks == 0 {
-		t.Error("DegradedAcks not counted")
-	}
-	if c.Degraded() {
-		t.Error("client still degraded after the journal healed")
-	}
-	sst = srv.Stats()
-	if sst.Degraded || !sst.DegradedSince.IsZero() {
-		t.Errorf("server still degraded after heal: %+v", sst)
+	if st.DegradedAcks != 2 {
+		t.Errorf("DegradedAcks = %d, want 2", st.DegradedAcks)
 	}
 	if got := sink.snapshot(); !eventsEqual(events, got) {
-		t.Fatalf("sink received %d events, want all 12 (degraded batches must still flow)", len(got))
+		t.Fatalf("sink received %d events, want all %d (degraded batches must still flow)", len(got), len(events))
 	}
 	// The watermark advanced through the lossy episode: batches 2 and 3
 	// were acked from memory, so only batch 1 and the healthy tail hit
 	// the journal.
-	if journal.appends != 1 {
-		t.Errorf("journal holds %d appends, want 1 (degraded batches skipped)", journal.appends)
+	journal.mu.Lock()
+	appends := journal.appends
+	journal.mu.Unlock()
+	if appends != 2 {
+		t.Errorf("journal holds %d appends, want 2 (degraded batches skipped)", appends)
 	}
 }
 

@@ -1,0 +1,396 @@
+package transport
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"net"
+
+	"repro/internal/event"
+)
+
+// binaryConn is one binary connection's handler state: what the
+// connection is (tenant, session, credit) and the run in progress — the
+// frames that arrived with one read, staged together so that one journal
+// sync and one socket write cover all of them (see handleBinary for the
+// stage order).
+type binaryConn struct {
+	s    *Server
+	conn net.Conn
+	dec  Decoder
+
+	tenantMode bool // version-2 preface: hello first, window granted after auth
+	helloDone  bool
+	sawEOF     bool
+	ten        *tenantState
+	carved     int      // credit window carved from the tenant's pool
+	sess       *session // non-nil once FrameHello opened a durable session
+	sessID     uint64
+	credit     uint64
+	accepted   uint64
+
+	events []event.Event // the run's event slab; staged batches index into it
+	staged []stagedBatch
+	locked bool   // sess.mu is held: from the run's first dedup check to flush
+	next   uint64 // batch sequence continuing the staged run (valid while locked)
+	charge uint64 // events applied since the last tenant-bucket charge
+	out    []byte // replies of the run, in stream order; one write sends them
+}
+
+// stagedBatch is one decoded, journal-appended batch awaiting its commit.
+type stagedBatch struct {
+	lo, hi    int    // events[lo:hi] of the run slab
+	batchSeq  uint64 // zero for a plain FrameEvents batch
+	seq       uint64 // journal sequence to commit when journaled
+	journaled bool
+	degraded  bool // the journal refused durability: ack with FlagDegraded
+}
+
+// errDropped ends a connection whose failure is already accounted for —
+// a journal fault, a failed write. Unlike a protocol error, nothing is
+// reported to the peer: to a producer it is indistinguishable from a
+// crash, and its redial path recovers.
+var errDropped = errors.New("transport: connection dropped")
+
+// admit authenticates the connection and carves its credit window out
+// of the tenant's pool.
+func (c *binaryConn) admit(token []byte) error {
+	ten, err := c.s.resolveTenant(token)
+	if err != nil {
+		return err
+	}
+	c.ten = ten
+	tenantOpen(ten)
+	if c.carved = c.s.carveWindow(ten); c.carved <= 0 {
+		return fmt.Errorf("transport: tenant %q: aggregate credit window exhausted", ten.name)
+	}
+	c.credit = uint64(c.carved)
+	return nil
+}
+
+// release undoes the connection's bindings when its handler returns —
+// including by panic, which must not leave the session locked.
+func (c *binaryConn) release() {
+	if c.locked {
+		c.unlockSession()
+	}
+	c.s.uncarveWindow(c.ten, c.carved)
+	tenantClose(c.ten)
+	if c.sess != nil {
+		c.s.unbindSession(c.sess)
+	}
+}
+
+// run pushes every complete frame in the scanner through the stages and
+// answers them with one write. Whatever was staged ahead of a failing
+// frame is still committed, submitted and acknowledged first, exactly
+// as if its frames had arrived alone.
+func (c *binaryConn) run(scan *frameScanner) error {
+	c.events = c.events[:0]
+	err := c.dispatch(scan)
+	if ferr := c.flush(); ferr != nil {
+		err = ferr // in stream order the journal fault came first
+	}
+	if werr := c.send(); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// dispatch walks the run's frames: events frames are staged, every other
+// frame first settles what is staged so its reply lands in stream order.
+func (c *binaryConn) dispatch(scan *frameScanner) error {
+	s := c.s
+	for {
+		typ, payload, ok, err := scan.Next()
+		if err != nil || !ok {
+			return err
+		}
+		s.frames.Add(1)
+		if c.tenantMode && !c.helloDone && typ != FrameHello {
+			return fmt.Errorf("transport: tenant connection must open with a hello frame")
+		}
+		if typ == FrameEvents || typ == FrameEventsSeq {
+			if err := c.stage(typ == FrameEventsSeq, payload); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := c.flush(); err != nil {
+			return err
+		}
+		switch typ {
+		case FrameHello:
+			if c.helloDone || c.sess != nil {
+				return fmt.Errorf("transport: duplicate hello frame")
+			}
+			id, k := binary.Uvarint(payload)
+			if k <= 0 || (id == 0 && !c.tenantMode) {
+				return fmt.Errorf("transport: malformed hello frame")
+			}
+			if c.tenantMode {
+				// The bytes after the session uvarint are the tenant
+				// token; authenticate before granting any credit.
+				if err := c.admit(payload[k:]); err != nil {
+					return err
+				}
+			}
+			c.helloDone = true
+			var applied uint64
+			if id != 0 {
+				c.sessID = id
+				c.sess = s.bindSession(id)
+				c.sess.mu.Lock()
+				applied = c.sess.applied
+				c.sess.mu.Unlock()
+			}
+			var tmp [2 * binary.MaxVarintLen64]byte
+			ak := binary.PutUvarint(tmp[:], applied)
+			if s.degraded() {
+				// Trailing flags uvarint, as on FrameCredit: the
+				// session resumes into a lossy episode and the
+				// producer learns it from the very first ack.
+				ak += binary.PutUvarint(tmp[ak:], FlagDegraded)
+			}
+			c.out = AppendFrame(c.out, FrameHelloAck, tmp[:ak])
+			if c.tenantMode {
+				// The initial grant, deferred past authentication:
+				// the carved window opens the connection's credit.
+				c.out = AppendCreditFrame(c.out, c.credit)
+			}
+		case FrameEOF:
+			c.sawEOF = true
+			var tmp [binary.MaxVarintLen64]byte
+			c.out = AppendFrame(c.out, FrameDone, tmp[:binary.PutUvarint(tmp[:], c.accepted)])
+			// Keep reading: the client may still request stats
+			// before closing; further events are a protocol error.
+		case FrameStatsReq:
+			var stats []byte
+			if s.cfg.StatsJSON != nil {
+				stats = s.cfg.StatsJSON()
+			}
+			c.out = AppendFrame(c.out, FrameStats, stats)
+		default:
+			return fmt.Errorf("transport: unknown frame type 0x%02x", typ)
+		}
+	}
+}
+
+// stage decodes one events frame into the run's slab, checks it against
+// the credit window and (sequenced frames) the session watermark, and
+// appends it to the journal. Nothing is committed, submitted or
+// acknowledged here; that is flush.
+func (c *binaryConn) stage(sequenced bool, payload []byte) error {
+	if c.sawEOF {
+		return fmt.Errorf("transport: events after EOF frame")
+	}
+	var batchSeq, sessID uint64
+	if sequenced {
+		if c.sess == nil {
+			return fmt.Errorf("transport: sequenced events before hello frame")
+		}
+		var k int
+		if batchSeq, k = binary.Uvarint(payload); k <= 0 || batchSeq == 0 {
+			return fmt.Errorf("transport: malformed batch sequence")
+		}
+		payload, sessID = payload[k:], c.sessID
+	}
+	lo := len(c.events)
+	events, err := c.dec.appendEvents(c.events, payload)
+	if err != nil {
+		return err
+	}
+	c.events = events
+	n := uint64(len(events) - lo)
+	if n > c.credit {
+		return fmt.Errorf("transport: %d events exceed remaining credit %d", n, c.credit)
+	}
+	if sequenced {
+		if ok, err := c.sequence(batchSeq, n); !ok {
+			return err
+		}
+	} else if n == 0 {
+		return nil
+	}
+	c.credit -= n
+	b := stagedBatch{lo: lo, hi: len(events), batchSeq: batchSeq}
+	if j := c.s.cfg.Journal; j != nil {
+		b.seq, err = j.Append(sessID, batchSeq, int(n), maxTS(events[lo:]), payload)
+		switch {
+		case err == nil:
+			b.journaled = true
+		case errors.Is(err, ErrJournalDegraded):
+			b.degraded = true
+		default:
+			return c.journalFailed(err)
+		}
+	}
+	c.staged = append(c.staged, b)
+	return nil
+}
+
+// sequence judges one sequenced batch against the session watermark. It
+// reports true when the batch continues the session and must be staged.
+// A retransmit at or below the watermark is acknowledged without
+// re-delivery (false, nil); a gap is a protocol error (false, err).
+//
+// The first call of a run takes sess.mu, and flush releases it after
+// the last watermark advance: dedup check, journal, submit and advance
+// stay one critical section per session, so a retransmit racing its
+// original on another connection of the same session can never be
+// applied twice.
+func (c *binaryConn) sequence(batchSeq, n uint64) (bool, error) {
+	if !c.locked {
+		c.lockSession()
+	}
+	if batchSeq == c.next {
+		c.next++
+		return true, nil
+	}
+	// Off the contiguous path. Settle what is staged first, so the
+	// verdict is taken against the advanced watermark and its reply
+	// lands behind the staged batches' acks.
+	if len(c.staged) > 0 {
+		if err := c.flush(); err != nil {
+			return false, err
+		}
+		c.lockSession()
+	}
+	sess := c.sess
+	switch {
+	case batchSeq <= sess.applied:
+		applied := sess.applied
+		c.unlockSession()
+		c.s.dedups.Add(1)
+		c.ack(n, applied, c.s.degraded())
+		return false, nil
+	case batchSeq != sess.applied+1:
+		// A fresh session — nothing applied this lifetime, no
+		// recovered watermark — may start above 1: that is a
+		// producer resuming after a clean restart released its
+		// journal (every earlier batch was acked as durable
+		// and absorbed, so nothing is lost by adopting the
+		// sequence; see docs/wire.md, delivery semantics). A
+		// gap on any other session is a protocol error.
+		if sess.applied != 0 || sess.seeded {
+			applied := sess.applied
+			c.unlockSession()
+			return false, fmt.Errorf("transport: batch %d skips applied watermark %d", batchSeq, applied)
+		}
+		c.s.logf("transport: %s: session %d resumes at batch %d", c.conn.RemoteAddr(), c.sessID, batchSeq)
+	}
+	c.next = batchSeq + 1
+	return true, nil
+}
+
+func (c *binaryConn) lockSession() {
+	c.sess.mu.Lock()
+	c.locked = true
+	c.next = c.sess.applied + 1
+}
+
+func (c *binaryConn) unlockSession() {
+	c.locked = false
+	c.sess.mu.Unlock()
+}
+
+// flush settles the staged batches in stream order: commit, submit,
+// advance the session watermark, append the ack. A batch is submitted
+// and acknowledged iff its own Commit returned nil — or the journal
+// degraded (Append or Commit returned ErrJournalDegraded): then it is
+// accepted without durability, the watermark advances in memory only,
+// and the ack says so with FlagDegraded. Any other journal error stops
+// the run there: that batch and every later one is neither submitted
+// nor acknowledged, and the connection drops (errDropped) once the acks
+// of the batches before it are out — the producer redials and
+// retransmits, and the dedup watermark keeps delivery effectively-once.
+func (c *binaryConn) flush() error {
+	s := c.s
+	var failed error
+	var total uint64
+	for i := range c.staged {
+		b := &c.staged[i]
+		if b.journaled {
+			if err := s.cfg.Journal.Commit(b.seq); errors.Is(err, ErrJournalDegraded) {
+				b.degraded = true
+			} else if err != nil {
+				failed = err
+				break
+			}
+		}
+		events := c.events[b.lo:b.hi]
+		n := uint64(len(events))
+		if b.degraded {
+			s.noteJournal(true)
+			s.lostDurable.Add(n)
+		} else if b.journaled {
+			s.noteJournal(false)
+		}
+		if n > 0 {
+			s.submitBatch(c.ten, events)
+		}
+		if b.batchSeq != 0 {
+			c.sess.applied = b.batchSeq
+			c.sess.accepted += n
+		}
+		c.ack(n, b.batchSeq, b.degraded)
+		total += n
+	}
+	c.staged = c.staged[:0]
+	if c.locked {
+		c.unlockSession()
+	}
+	c.credit += total
+	c.accepted += total
+	c.charge += total
+	s.evBinary.Add(total)
+	if c.ten != nil {
+		c.ten.events.Add(total)
+	}
+	if failed != nil {
+		return c.journalFailed(failed)
+	}
+	return nil
+}
+
+// journalFailed logs a fail-stop journal error; the batch is simply not
+// durable, which is a server fault, not the client's — no FrameError.
+func (c *binaryConn) journalFailed(err error) error {
+	c.s.logf("transport: %s: journal: %v (dropping connection unacknowledged)", c.conn.RemoteAddr(), err)
+	return errDropped
+}
+
+// ack appends one credit grant of n events to the reply buffer. A
+// non-zero applied (batch sequences start at 1) makes it a durable
+// session's ack of every batch through that watermark.
+func (c *binaryConn) ack(n, applied uint64, degraded bool) {
+	switch {
+	case applied != 0 && degraded:
+		c.out = AppendCreditAckFlagsFrame(c.out, n, applied, FlagDegraded)
+	case applied != 0:
+		c.out = AppendCreditAckFrame(c.out, n, applied)
+	case degraded:
+		c.out = AppendCreditFlagsFrame(c.out, n, FlagDegraded)
+	default:
+		c.out = AppendCreditFrame(c.out, n)
+	}
+}
+
+// send charges the tenant's token bucket for what the run applied — a
+// deduplicated retransmit was paid for when its original was accepted —
+// and writes the run's replies. Both happen strictly outside sess.mu:
+// the throttle delays only the grant-back (the producer's next window),
+// never the session's other connections.
+func (c *binaryConn) send() error {
+	c.s.throttle(c.ten, int(c.charge))
+	c.charge = 0
+	if len(c.out) == 0 {
+		return nil
+	}
+	err := c.s.write(c.conn, c.out)
+	c.out = c.out[:0]
+	if err != nil {
+		return errDropped
+	}
+	return nil
+}

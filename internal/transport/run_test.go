@@ -1,0 +1,320 @@
+// Run semantics of the binary handler: the frames that arrive with one
+// read are staged together, committed with one journal sync and
+// answered with one write — without changing what any single batch
+// observes. The tests script the producer so that a known set of frames
+// sits in the socket while the server is parked inside a gated Commit.
+package transport
+
+import (
+	"encoding/binary"
+	"net"
+	"sync"
+	"testing"
+
+	"repro/internal/event"
+	"repro/internal/harness"
+)
+
+// gateJournal is a group-committing fake Journal, shaped like wal.Log:
+// a Commit above the synced watermark runs one sync round that covers
+// everything staged so far, a Commit at or below it returns at once.
+// The first round parks on gate (when set) until the test has written
+// the frames it wants buffered behind it. failAt and degradeAt cut a
+// round short: the records before that journal sequence sync, the
+// Commit of that sequence fails (fail-stop, once) or degrades, and
+// everything staged from there on is discarded.
+type gateJournal struct {
+	mu        sync.Mutex
+	lastSeq   uint64
+	synced    uint64
+	rounds    int
+	gate      chan struct{} // set at construction, closed by the test
+	parked    bool          // the first round has taken the gate
+	failAt    uint64
+	degradeAt uint64
+	degraded  bool
+
+	sink     *collectSink // sampled when failAt fires
+	atFailed int          // events the sink held at that moment
+}
+
+func (j *gateJournal) Append(session, batchSeq uint64, count int, maxTS event.Time, payload []byte) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.degraded {
+		return 0, ErrJournalDegraded
+	}
+	j.lastSeq++
+	return j.lastSeq, nil
+}
+
+func (j *gateJournal) Commit(seq uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq <= j.synced {
+		return nil
+	}
+	if j.degraded {
+		return ErrJournalDegraded // the staged record was discarded
+	}
+	j.rounds++
+	if j.gate != nil && !j.parked {
+		j.parked = true
+		j.mu.Unlock()
+		<-j.gate
+		j.mu.Lock()
+	}
+	upTo := j.lastSeq
+	if at := j.failAt; at != 0 && at <= upTo {
+		if seq >= at {
+			j.failAt, j.lastSeq = 0, j.synced
+			j.atFailed = len(j.sink.snapshot())
+			return errJournalDown
+		}
+		upTo = at - 1
+	}
+	if at := j.degradeAt; at != 0 && at <= upTo {
+		if seq >= at {
+			j.degradeAt, j.lastSeq, j.degraded = 0, j.synced, true
+			return ErrJournalDegraded
+		}
+		upTo = at - 1
+	}
+	j.synced = upTo
+	return nil
+}
+
+func (j *gateJournal) state() (synced uint64, rounds, atFailed int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.synced, j.rounds, j.atFailed
+}
+
+func (j *gateJournal) heal() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.degraded = false
+}
+
+// seqFrame encodes one FrameEventsSeq.
+func seqFrame(batchSeq uint64, events []event.Event) []byte {
+	var enc Encoder
+	var tmp [binary.MaxVarintLen64]byte
+	payload := append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], batchSeq)]...)
+	return AppendFrame(nil, FrameEventsSeq, enc.AppendEvents(payload, events))
+}
+
+// dialSession opens a raw version-1 connection and a durable session on
+// it, consuming the initial grant and the hello ack.
+func dialSession(t *testing.T, srv *Server, session uint64) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	r := newRawConn(conn)
+	if err := r.write([]byte{Magic, ProtocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.expect(FrameCredit); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.write(uvarintFrame(FrameHello, session)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.expect(FrameHelloAck); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// expectAck pops the next frame as a durable-session credit ack and
+// checks its grant, watermark and flags.
+func expectAck(t *testing.T, r *rawConn, grant, applied, flags uint64) {
+	t.Helper()
+	p, err := r.expect(FrameCredit)
+	if err != nil {
+		t.Fatalf("ack through batch %d: %v", applied, err)
+	}
+	var got [3]uint64
+	for i := 0; i < len(got) && len(p) > 0; i++ {
+		v, k := binary.Uvarint(p)
+		if k <= 0 {
+			t.Fatalf("ack through batch %d: malformed payload", applied)
+		}
+		got[i], p = v, p[k:]
+	}
+	if got != [3]uint64{grant, applied, flags} {
+		t.Fatalf("ack (grant, applied, flags) = %v, want [%d %d %d]", got, grant, applied, flags)
+	}
+}
+
+// sendBehindGate parks the server inside the gated first Commit on
+// frame 1, writes frames 2..n as one segment behind it, and opens the
+// gate: whatever the read boundaries, at most two sync rounds remain.
+func sendBehindGate(t *testing.T, r *rawConn, journal *gateJournal, in []event.Event, per, n int) {
+	t.Helper()
+	if err := r.write(seqFrame(1, in[:per])); err != nil {
+		t.Fatal(err)
+	}
+	var rest []byte
+	for k := 2; k <= n; k++ {
+		rest = append(rest, seqFrame(uint64(k), in[(k-1)*per:k*per])...)
+	}
+	if err := r.write(rest); err != nil {
+		t.Fatal(err)
+	}
+	close(journal.gate)
+}
+
+// TestRunGroupCommit: N frames buffered behind one slow Commit cost at
+// most two sync rounds, are acked in order with a monotone watermark,
+// and no ack is observable before the sync covering it returned.
+func TestRunGroupCommit(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const per, n = 4, 10
+	sink := &collectSink{}
+	journal := &gateJournal{gate: make(chan struct{})}
+	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: 256})
+	r := dialSession(t, srv, 7)
+	in := genEvents(per * n)
+
+	sendBehindGate(t, r, journal, in, per, n)
+	for k := uint64(1); k <= n; k++ {
+		expectAck(t, r, per, k, 0)
+		// This connection is the only appender, so batch k is journal
+		// record k.
+		if synced, _, _ := journal.state(); synced < k {
+			t.Fatalf("batch %d acked with the journal synced through %d only", k, synced)
+		}
+	}
+	if _, rounds, _ := journal.state(); rounds > 2 {
+		t.Fatalf("%d frames took %d sync rounds, want at most 2", n, rounds)
+	}
+	requireExactly(t, sink, in)
+}
+
+// TestRunFailStopMidRun: a fail-stop journal error at the k-th commit of
+// a buffered run delivers and acknowledges exactly the batches before
+// k, drops the connection, and the redialing client's retransmit of the
+// rest reaches the sink once.
+func TestRunFailStopMidRun(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const per, n, failAt = 4, 8, 5
+	sink := &collectSink{}
+	journal := &gateJournal{gate: make(chan struct{}), failAt: failAt, sink: sink}
+	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: 256})
+
+	c, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: per, Session: 5, Reconnect: true, MaxRedials: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := genEvents(per * n)
+	// The window covers all n frames, so SubmitBatch returns with every
+	// one of them written and none acked.
+	if err := c.SubmitBatch(in); err != nil {
+		t.Fatal(err)
+	}
+	close(journal.gate)
+	st, err := c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Sent != per*n || st.Accepted != per*n {
+		t.Fatalf("ledger %+v, want Sent == Accepted == %d", st, per*n)
+	}
+	// The redial's hello ack carried watermark failAt-1: exactly the
+	// batches from failAt on were neither applied nor acknowledged.
+	if st.Redials != 1 || st.Retransmits != n-failAt+1 {
+		t.Fatalf("redials %d retransmits %d, want 1 and %d", st.Redials, st.Retransmits, n-failAt+1)
+	}
+	if _, _, got := journal.state(); got != per*(failAt-1) {
+		t.Fatalf("sink held %d events when commit %d failed, want %d", got, failAt, per*(failAt-1))
+	}
+	requireExactly(t, sink, in)
+}
+
+// TestRunDegradedMidRun: the journal degrades at a commit in the middle
+// of a buffered run — the batches before it are acked clean, the rest
+// flagged and counted as lost durability, and the next healthy run
+// clears the flag.
+func TestRunDegradedMidRun(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const per, n, degradeAt = 4, 6, 4
+	sink := &collectSink{}
+	journal := &gateJournal{gate: make(chan struct{}), degradeAt: degradeAt}
+	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: 256})
+	r := dialSession(t, srv, 9)
+	in := genEvents(per * (n + 1))
+
+	sendBehindGate(t, r, journal, in, per, n)
+	for k := uint64(1); k <= n; k++ {
+		var flags uint64
+		if k >= degradeAt {
+			flags = FlagDegraded
+		}
+		expectAck(t, r, per, k, flags)
+	}
+	if st := srv.Stats(); !st.Degraded || st.LostDurability != per*(n-degradeAt+1) {
+		t.Fatalf("stats after the degraded run: %+v", st)
+	}
+
+	journal.heal()
+	if err := r.write(seqFrame(n+1, in[per*n:])); err != nil {
+		t.Fatal(err)
+	}
+	expectAck(t, r, per, n+1, 0)
+	if st := srv.Stats(); st.Degraded || st.LostDurability != per*(n-degradeAt+1) {
+		t.Fatalf("stats after the healthy run: %+v", st)
+	}
+	requireExactly(t, sink, in)
+}
+
+// TestRunReplyOrder: a deduplicated retransmit, an EOF and a stats
+// request in the middle of a buffered run are answered in stream order,
+// behind the acks of the batches staged ahead of them.
+func TestRunReplyOrder(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const per = 4
+	sink := &collectSink{}
+	journal := &gateJournal{gate: make(chan struct{})}
+	srv := startServer(t, ServerConfig{
+		Sink: sink, Journal: journal, Window: 256,
+		StatsJSON: func() []byte { return []byte(`{}`) },
+	})
+	r := dialSession(t, srv, 3)
+	in := genEvents(per * 3)
+
+	if err := r.write(seqFrame(1, in[:per])); err != nil {
+		t.Fatal(err)
+	}
+	run := seqFrame(2, in[per:2*per])
+	run = append(run, seqFrame(2, in[per:2*per])...) // retransmit of a batch staged in this very run
+	run = append(run, seqFrame(3, in[2*per:])...)
+	run = AppendFrame(run, FrameEOF, nil)
+	run = AppendFrame(run, FrameStatsReq, nil)
+	if err := r.write(run); err != nil {
+		t.Fatal(err)
+	}
+	close(journal.gate)
+
+	expectAck(t, r, per, 1, 0)
+	expectAck(t, r, per, 2, 0)
+	expectAck(t, r, per, 2, 0) // the dedup: credit back, watermark unchanged
+	expectAck(t, r, per, 3, 0)
+	p, err := r.expect(FrameDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, _ := binary.Uvarint(p); done != per*3 {
+		t.Fatalf("done frame counts %d events, want %d", done, per*3)
+	}
+	if _, err := r.expect(FrameStats); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.DedupBatches != 1 {
+		t.Fatalf("dedup batches = %d, want 1", st.DedupBatches)
+	}
+	requireExactly(t, sink, in)
+}

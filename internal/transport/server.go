@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -488,10 +487,10 @@ func (s *Server) armIdle(conn net.Conn) {
 }
 
 // noteReadErr classifies a read-loop failure into the error taxonomy
-// (clean EOFs and locally closed connections are not errors).
+// (nil, clean EOFs and locally closed connections are not errors).
 func (s *Server) noteReadErr(conn net.Conn, err error) {
 	switch {
-	case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
+	case err == nil, errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		s.idleEvicts.Add(1)
 		s.logf("transport: %s: idle for %v; evicting", conn.RemoteAddr(), s.cfg.IdleTimeout)
@@ -557,8 +556,14 @@ func (s *Server) Serve(ln net.Listener) error {
 		go func() {
 			defer wg.Done()
 			s.activeCt.Add(1)
-			defer s.activeCt.Add(-1)
+			var rerr error
 			defer func() {
+				// One publication step, in the order observers rely on:
+				// whoever sees the eviction counted — or, later still,
+				// the socket closed — already sees the connection gone
+				// from ConnsActive.
+				s.activeCt.Add(-1)
+				s.noteReadErr(conn, rerr)
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
@@ -573,7 +578,7 @@ func (s *Server) Serve(ln net.Listener) error {
 					s.logf("transport: %s: handler panic (contained): %v", conn.RemoteAddr(), r)
 				}
 			}()
-			s.handle(conn)
+			rerr = s.handle(conn)
 		}()
 	}
 }
@@ -672,7 +677,6 @@ func (s *Server) Stats() ServerStats {
 	s.sessMu.Unlock()
 	st := ServerStats{
 		ConnsAccepted:   s.accepted.Load(),
-		ConnsActive:     int(s.activeCt.Load()),
 		EventsBinary:    s.evBinary.Load(),
 		EventsNDJSON:    s.evNDJSON.Load(),
 		Frames:          s.frames.Load(),
@@ -685,6 +689,10 @@ func (s *Server) Stats() ServerStats {
 		PanicsRecovered: s.panics.Load(),
 		LostDurability:  s.lostDurable.Load(),
 	}
+	// Read after the error taxonomy: a connection leaves the active
+	// count before its eviction or read error is published, so one
+	// snapshot never shows both the eviction and the evicted connection.
+	st.ConnsActive = int(s.activeCt.Load())
 	_ = s.degraded() // reconcile a stale episode against the live journal health
 	st.DegradedFor = time.Duration(s.degradedTotal.Load())
 	if since := s.degradedNanos.Load(); since != 0 {
@@ -700,20 +708,20 @@ func (s *Server) Stats() ServerStats {
 }
 
 // handle serves one connection: sniff the framing from the first byte,
-// then run the matching read loop until EOF or error.
-func (s *Server) handle(conn net.Conn) {
+// then run the matching read loop until EOF or error. It returns the
+// read failure that ended the connection, if any; the caller publishes
+// it (see noteReadErr) together with the connection's departure.
+func (s *Server) handle(conn net.Conn) error {
 	br := bufio.NewReaderSize(conn, 32<<10)
 	s.armIdle(conn)
 	first, err := br.Peek(1)
 	if err != nil {
-		s.noteReadErr(conn, err)
-		return // closed before the first byte; nothing to do
+		return err // closed before the first byte; nothing to do
 	}
 	if first[0] == Magic {
-		s.handleBinary(conn, br)
-		return
+		return s.handleBinary(conn, br)
 	}
-	s.handleNDJSON(conn, br)
+	return s.handleNDJSON(conn, br)
 }
 
 // protoError counts, reports (best effort) and logs a protocol error.
@@ -724,14 +732,34 @@ func (s *Server) protoError(conn net.Conn, err error) {
 	_, _ = conn.Write(AppendFrame(nil, FrameError, []byte(err.Error())))
 }
 
-// handleBinary runs the framed read loop. Credit accounting: the
-// client starts with Window events of credit; every FrameEvents spends
-// its event count (overspending is a protocol error, which makes the
-// window a hard bound on per-connection buffering); after the frame's
-// events have been submitted to the sink — which blocks while the
-// pipeline's bounded queue is full — the same amount is granted back.
-// Decode, submit and credit writes all happen on this one goroutine, so
-// a connection never buffers more than one frame beyond the window.
+// runReadSize is the binary handler's read size and so the byte bound of
+// one run. At 32 KiB a run holds four 256-event frames and a journaled
+// connection spends as long in fsync as in its own decode and submit;
+// at 64 KiB the fsync is amortised over twice the frames (wire_durable:
+// 1.6 → 2.5 M events/s), and larger reads bought nothing more.
+const runReadSize = 64 << 10
+
+// handleBinary runs the framed read loop. Its unit of work is the run:
+// every complete frame already in the scanner after one Read, never a
+// frame the handler would have to wait for. A run moves through ordered
+// stages (binaryConn, run.go): per frame, scan → decode into the run's
+// event slab → credit check → session dedup/gap check → Journal.Append;
+// then per staged batch, in stream order, Journal.Commit → submit to the
+// sink → advance the session watermark → append the credit/ack frame to
+// the run's reply buffer; then one tenant-throttle charge and one
+// conn.Write for the whole run. The first Commit of a run syncs
+// everything the run staged, so under load one fsync and one write cover
+// every frame the producer sent during the previous fsync, while a lone
+// paced frame is a run of one.
+//
+// Credit accounting: the client starts with Window events of credit;
+// every events frame spends its event count at parse time (overspending
+// is a protocol error, which makes the window a hard bound on what a
+// run can stage); after the batch has been submitted to the sink —
+// which blocks while the pipeline's bounded queue is full — the same
+// amount is granted back. Decode, submit and credit writes all happen on
+// this one goroutine, so a connection never buffers more than the
+// window plus one read.
 //
 // A version-1 connection is granted its window immediately after the
 // preface and runs as the anonymous tenant. A version-2 connection
@@ -739,331 +767,52 @@ func (s *Server) protoError(conn net.Conn, err error) {
 // tenant token; the window — carved from the tenant's aggregate credit
 // pool — is granted only after authentication, and grant-backs are
 // throttled by the tenant's token bucket.
-func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
+//
+// It returns the read failure that ended the loop (nil when the
+// connection ended for any other reason), for the caller to classify.
+func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) error {
 	var preface [2]byte
 	if _, err := io.ReadFull(br, preface[:]); err != nil {
-		return
+		return nil
 	}
 	if preface[1] != ProtocolVersion && preface[1] != ProtocolVersionTenant {
 		s.protoError(conn, fmt.Errorf("transport: protocol version %d not supported", preface[1]))
-		return
+		return nil
 	}
-	tenantMode := preface[1] == ProtocolVersionTenant
-
-	var (
-		ten      *tenantState
-		window   uint64
-		carved   int
-		writeBuf []byte
-	)
-	defer func() {
-		s.uncarveWindow(ten, carved)
-		tenantClose(ten)
-	}()
-	if !tenantMode {
-		var aerr error
-		if ten, aerr = s.resolveTenant(nil); aerr != nil {
-			s.protoError(conn, aerr)
-			return
-		}
-		tenantOpen(ten)
-		if carved = s.carveWindow(ten); carved <= 0 {
-			s.protoError(conn, fmt.Errorf("transport: tenant %q: aggregate credit window exhausted", ten.name))
-			return
-		}
-		window = uint64(carved)
-		writeBuf = AppendCreditFrame(nil, window)
-		if err := s.write(conn, writeBuf); err != nil {
-			return
-		}
+	c := &binaryConn{
+		s: s, conn: conn, tenantMode: preface[1] == ProtocolVersionTenant,
+		dec: Decoder{Retain: true, MaxVals: s.cfg.MaxVals, MaxBatch: s.cfg.Window},
 	}
-
-	dec := Decoder{Retain: true, MaxVals: s.cfg.MaxVals, MaxBatch: s.cfg.Window}
 	if s.cfg.Registry != nil {
-		dec.MaxTypes = s.cfg.Registry.Len()
+		c.dec.MaxTypes = s.cfg.Registry.Len()
+	}
+	defer c.release()
+	if !c.tenantMode {
+		if err := c.admit(nil); err != nil {
+			s.protoError(conn, err)
+			return nil
+		}
+		c.out = AppendCreditFrame(c.out, c.credit)
+		if c.send() != nil {
+			return nil
+		}
 	}
 	scan := newFrameScanner(s.cfg.MaxFrame)
-	read := make([]byte, 32<<10)
-	credit := window
-	var accepted uint64
-	var sawEOF bool
-	var helloDone bool
-	var sess *session // non-nil once FrameHello opened a durable session
-	var sessID uint64
-	defer func() {
-		if sess != nil {
-			s.unbindSession(sess)
-		}
-	}()
+	read := make([]byte, runReadSize)
 	for {
 		s.armIdle(conn)
-		n, err := br.Read(read)
+		n, rerr := br.Read(read)
 		if n > 0 {
 			scan.Feed(read[:n])
-			for {
-				typ, payload, ok, serr := scan.Next()
-				if serr != nil {
-					s.protoError(conn, serr)
-					return
+			if err := c.run(scan); err != nil {
+				if err != errDropped {
+					s.protoError(conn, err)
 				}
-				if !ok {
-					break
-				}
-				s.frames.Add(1)
-				if tenantMode && !helloDone && typ != FrameHello {
-					s.protoError(conn, fmt.Errorf("transport: tenant connection must open with a hello frame"))
-					return
-				}
-				switch typ {
-				case FrameEvents:
-					if sawEOF {
-						s.protoError(conn, fmt.Errorf("transport: events after EOF frame"))
-						return
-					}
-					events, derr := dec.DecodeEvents(payload)
-					if derr != nil {
-						s.protoError(conn, derr)
-						return
-					}
-					if uint64(len(events)) > credit {
-						s.protoError(conn, fmt.Errorf("transport: %d events exceed remaining credit %d", len(events), credit))
-						return
-					}
-					credit -= uint64(len(events))
-					if len(events) > 0 {
-						degraded := false
-						if s.cfg.Journal != nil {
-							jerr := s.journalBatch(0, 0, events, payload)
-							switch {
-							case jerr == nil:
-								s.noteJournal(false)
-							case errors.Is(jerr, ErrJournalDegraded):
-								// Degrade to lossy: accept without durability
-								// and say so in the ack (FlagDegraded).
-								degraded = true
-								s.noteJournal(true)
-								s.lostDurable.Add(uint64(len(events)))
-							default:
-								// Not a protocol error: the batch is simply not
-								// durable. Drop the connection unacknowledged —
-								// to the producer this is indistinguishable
-								// from a crash, and its redial path recovers.
-								s.logf("transport: %s: %v (dropping connection unacknowledged)", conn.RemoteAddr(), jerr)
-								return
-							}
-						}
-						s.submitBatch(ten, events)
-						accepted += uint64(len(events))
-						s.evBinary.Add(uint64(len(events)))
-						if ten != nil {
-							ten.events.Add(uint64(len(events)))
-						}
-						credit += uint64(len(events))
-						// The batch is in; the tenant's rate limit delays
-						// only the grant-back (the producer's next window).
-						s.throttle(ten, len(events))
-						if degraded {
-							writeBuf = AppendCreditFlagsFrame(writeBuf[:0], uint64(len(events)), FlagDegraded)
-						} else {
-							writeBuf = AppendCreditFrame(writeBuf[:0], uint64(len(events)))
-						}
-						if werr := s.write(conn, writeBuf); werr != nil {
-							return
-						}
-					}
-				case FrameHello:
-					if helloDone || sess != nil {
-						s.protoError(conn, fmt.Errorf("transport: duplicate hello frame"))
-						return
-					}
-					id, k := binary.Uvarint(payload)
-					if k <= 0 || (id == 0 && !tenantMode) {
-						s.protoError(conn, fmt.Errorf("transport: malformed hello frame"))
-						return
-					}
-					if tenantMode {
-						// The bytes after the session uvarint are the tenant
-						// token; authenticate before granting any credit.
-						var aerr error
-						if ten, aerr = s.resolveTenant(payload[k:]); aerr != nil {
-							s.protoError(conn, aerr)
-							return
-						}
-						tenantOpen(ten)
-						if carved = s.carveWindow(ten); carved <= 0 {
-							s.protoError(conn, fmt.Errorf("transport: tenant %q: aggregate credit window exhausted", ten.name))
-							return
-						}
-						window = uint64(carved)
-						credit = window
-					}
-					helloDone = true
-					var applied uint64
-					if id != 0 {
-						sessID = id
-						sess = s.bindSession(id)
-						sess.mu.Lock()
-						applied = sess.applied
-						sess.mu.Unlock()
-					}
-					var tmp [2 * binary.MaxVarintLen64]byte
-					ak := binary.PutUvarint(tmp[:], applied)
-					if s.degraded() {
-						// Trailing flags uvarint, as on FrameCredit: the
-						// session resumes into a lossy episode and the
-						// producer learns it from the very first ack.
-						ak += binary.PutUvarint(tmp[ak:], FlagDegraded)
-					}
-					writeBuf = AppendFrame(writeBuf[:0], FrameHelloAck, tmp[:ak])
-					if werr := s.write(conn, writeBuf); werr != nil {
-						return
-					}
-					if tenantMode {
-						// The initial grant, deferred past authentication:
-						// the carved window opens the connection's credit.
-						writeBuf = AppendCreditFrame(writeBuf[:0], window)
-						if werr := s.write(conn, writeBuf); werr != nil {
-							return
-						}
-					}
-				case FrameEventsSeq:
-					if sawEOF {
-						s.protoError(conn, fmt.Errorf("transport: events after EOF frame"))
-						return
-					}
-					if sess == nil {
-						s.protoError(conn, fmt.Errorf("transport: sequenced events before hello frame"))
-						return
-					}
-					batchSeq, k := binary.Uvarint(payload)
-					if k <= 0 || batchSeq == 0 {
-						s.protoError(conn, fmt.Errorf("transport: malformed batch sequence"))
-						return
-					}
-					body := payload[k:]
-					events, derr := dec.DecodeEvents(body)
-					if derr != nil {
-						s.protoError(conn, derr)
-						return
-					}
-					n := uint64(len(events))
-					if n > credit {
-						s.protoError(conn, fmt.Errorf("transport: %d events exceed remaining credit %d", n, credit))
-						return
-					}
-					credit -= n
-					// Dedup-check, journal, submit and watermark advance are
-					// one critical section per session, so a retransmit
-					// racing its original on another connection of the same
-					// session can never be applied twice.
-					sess.mu.Lock()
-					if batchSeq <= sess.applied {
-						applied := sess.applied
-						sess.mu.Unlock()
-						s.dedups.Add(1)
-						credit += n
-						if s.degraded() {
-							writeBuf = AppendCreditAckFlagsFrame(writeBuf[:0], n, applied, FlagDegraded)
-						} else {
-							writeBuf = AppendCreditAckFrame(writeBuf[:0], n, applied)
-						}
-						if werr := s.write(conn, writeBuf); werr != nil {
-							return
-						}
-						break
-					}
-					if batchSeq != sess.applied+1 {
-						// A fresh session — nothing applied this lifetime, no
-						// recovered watermark — may start above 1: that is a
-						// producer resuming after a clean restart released its
-						// journal (every earlier batch was acked as durable
-						// and absorbed, so nothing is lost by adopting the
-						// sequence; see docs/wire.md, delivery semantics). A
-						// gap on any other session is a protocol error.
-						if sess.applied != 0 || sess.seeded {
-							applied := sess.applied
-							sess.mu.Unlock()
-							s.protoError(conn, fmt.Errorf("transport: batch %d skips applied watermark %d", batchSeq, applied))
-							return
-						}
-						s.logf("transport: %s: session %d resumes at batch %d", conn.RemoteAddr(), sessID, batchSeq)
-					}
-					degraded := false
-					if s.cfg.Journal != nil {
-						jerr := s.journalBatch(sessID, batchSeq, events, body)
-						switch {
-						case jerr == nil:
-							s.noteJournal(false)
-						case errors.Is(jerr, ErrJournalDegraded):
-							// Degrade to lossy: the watermark advances in
-							// memory only, so a crash during the episode
-							// loses these batches — which is exactly what
-							// the FlagDegraded ack warned the producer of.
-							degraded = true
-							s.noteJournal(true)
-							s.lostDurable.Add(n)
-						default:
-							sess.mu.Unlock()
-							// The batch is not durable: drop the connection
-							// without an ack (no FrameError — this is a server
-							// fault, not the client's), so the producer
-							// redials and retransmits, and the server-side
-							// dedup keeps the delivery effectively-once.
-							s.logf("transport: %s: %v (dropping connection unacknowledged)", conn.RemoteAddr(), jerr)
-							return
-						}
-					}
-					if len(events) > 0 {
-						s.submitBatch(ten, events)
-					}
-					sess.applied = batchSeq
-					sess.accepted += n
-					applied := sess.applied
-					sess.mu.Unlock()
-					accepted += n
-					s.evBinary.Add(n)
-					if ten != nil {
-						ten.events.Add(n)
-					}
-					credit += n
-					// Charge the tenant bucket only for applied batches —
-					// a deduplicated retransmit was paid for when its
-					// original was accepted — and strictly outside sess.mu,
-					// so a throttle sleep never blocks the session's other
-					// connections.
-					s.throttle(ten, int(n))
-					if degraded {
-						writeBuf = AppendCreditAckFlagsFrame(writeBuf[:0], n, applied, FlagDegraded)
-					} else {
-						writeBuf = AppendCreditAckFrame(writeBuf[:0], n, applied)
-					}
-					if werr := s.write(conn, writeBuf); werr != nil {
-						return
-					}
-				case FrameEOF:
-					sawEOF = true
-					var tmp [binary.MaxVarintLen64]byte
-					done := AppendFrame(writeBuf[:0], FrameDone, tmp[:binary.PutUvarint(tmp[:], accepted)])
-					_ = s.write(conn, done) // best effort
-					// Keep reading: the client may still request stats
-					// before closing; further events are a protocol error.
-				case FrameStatsReq:
-					var stats []byte
-					if s.cfg.StatsJSON != nil {
-						stats = s.cfg.StatsJSON()
-					}
-					if werr := s.write(conn, AppendFrame(writeBuf[:0], FrameStats, stats)); werr != nil {
-						return
-					}
-				default:
-					s.protoError(conn, fmt.Errorf("transport: unknown frame type 0x%02x", typ))
-					return
-				}
+				return nil
 			}
 		}
-		if err != nil {
-			s.noteReadErr(conn, err)
-			return
+		if rerr != nil {
+			return rerr
 		}
 	}
 }
@@ -1081,18 +830,24 @@ func (s *Server) submitBatch(ten *tenantState, events []event.Event) {
 	s.cfg.Sink.SubmitBatch(events)
 }
 
+// maxTS returns the newest timestamp of a batch — the journal record's
+// release-policy metadata.
+func maxTS(events []event.Event) event.Time {
+	var ts event.Time
+	for i := range events {
+		if events[i].TS > ts {
+			ts = events[i].TS
+		}
+	}
+	return ts
+}
+
 // journalBatch appends the batch's wire bytes to the configured
 // journal and commits (fsyncs) them. A non-nil return means the batch
 // is not durable and the caller must drop the connection without
 // acknowledging it.
 func (s *Server) journalBatch(sessID, batchSeq uint64, events []event.Event, payload []byte) error {
-	var maxTS event.Time
-	for i := range events {
-		if events[i].TS > maxTS {
-			maxTS = events[i].TS
-		}
-	}
-	seq, err := s.cfg.Journal.Append(sessID, batchSeq, len(events), maxTS, payload)
+	seq, err := s.cfg.Journal.Append(sessID, batchSeq, len(events), maxTS(events), payload)
 	if err == nil {
 		err = s.cfg.Journal.Commit(seq)
 	}
@@ -1116,12 +871,12 @@ func (s *Server) journalBatch(sessID, batchSeq uint64, events []event.Event, pay
 // at connect when already degraded), so a plain-text producer learns
 // that acceptance is currently at-most-once — the NDJSON equivalent of
 // FlagDegraded, which only binary acks carry.
-func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) {
+func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 	ten, aerr := s.resolveTenant(nil)
 	if aerr != nil {
 		s.protoErrs.Add(1)
 		fmt.Fprintf(conn, "{\"error\":%q}\n", aerr.Error())
-		return
+		return nil
 	}
 	tenantOpen(ten)
 	defer func() { tenantClose(ten) }()
@@ -1192,7 +947,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) {
 			s.protoErrs.Add(1)
 			s.logf("transport: %s: ndjson line exceeds %d bytes", conn.RemoteAddr(), s.cfg.MaxFrame)
 			fmt.Fprintf(conn, "{\"error\":%q}\n", "line too long")
-			return
+			return nil
 		}
 		if trimmed := trimLine(line); len(trimmed) > 0 {
 			if token, ok := ndjsonHelloToken(trimmed); firstLine && ok {
@@ -1201,7 +956,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) {
 				if terr != nil {
 					s.protoErrs.Add(1)
 					fmt.Fprintf(conn, "{\"error\":%q}\n", terr.Error())
-					return
+					return nil
 				}
 				// Rebind the connection count from the anonymous tenant
 				// (opened above) to the authenticated one.
@@ -1222,18 +977,17 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) {
 				s.protoErrs.Add(1)
 				s.logf("transport: %s: %v", conn.RemoteAddr(), perr)
 				fmt.Fprintf(conn, "{\"error\":%q}\n", perr.Error())
-				return
+				return nil
 			}
 			batch = append(batch, ev)
 		}
 		if err != nil {
 			flush()
-			s.noteReadErr(conn, err)
-			return
+			return err
 		}
 		if len(batch) >= maxBatch || br.Buffered() == 0 {
 			if !flush() {
-				return
+				return nil
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func (s *collectSink) snapshot() []event.Event {
 }
 
 // startServer serves cfg on a loopback listener and registers cleanup.
-func startServer(t *testing.T, cfg ServerConfig) *Server {
+func startServer(t testing.TB, cfg ServerConfig) *Server {
 	t.Helper()
 	srv, err := NewServer(cfg)
 	if err != nil {
