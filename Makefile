@@ -3,7 +3,7 @@ GO ?= go
 # Hot-path benchmark selection and budget for `make bench`. CI overrides
 # BENCHTIME to keep runs short; the committed BENCH_results.json is
 # produced at the default 1s.
-BENCH ?= BenchmarkOperatorProcess|BenchmarkShedderDecision|BenchmarkPipelineShards/nodelay|BenchmarkEngineFanout/nodelay|BenchmarkCodecDecode|BenchmarkWALAppend|BenchmarkServerDurableIngest
+BENCH ?= BenchmarkOperatorProcess|BenchmarkShedderDecision|BenchmarkPipelineShards/nodelay|BenchmarkPipelineSerial|BenchmarkEngineFanout/nodelay|BenchmarkCodecDecode|BenchmarkWALAppend|BenchmarkServerDurableIngest
 BENCHTIME ?= 1s
 BENCHLABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 

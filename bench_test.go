@@ -307,6 +307,53 @@ func BenchmarkPipelineShards(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineSerial measures what the serial pipeline adds around
+// the operator per event — chunk copy, channel rendezvous, guard, clock,
+// counter publication, backpressure accounting — as a function of how
+// many events one input message carries: batch=1 goes through Submit,
+// the others through SubmitBatch. Same windows and stream as
+// BenchmarkPipelineShards/nodelay, so ns/op minus BenchmarkOperatorProcess
+// is the plumbing; allocs/op should be ~0 once the chunk ring is warm.
+func BenchmarkPipelineSerial(b *testing.B) {
+	for _, batch := range []int{1, 8, 64, 256} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			p, err := NewPipeline(PipelineConfig{
+				Operator: OperatorConfig{
+					Window:   WindowSpec{Mode: ModeCount, Count: 128, Slide: 16},
+					Patterns: []*CompiledPattern{mustCompileSeqAB(b)},
+				},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- p.Run(context.Background()) }()
+			go func() {
+				for range p.Out() {
+				}
+			}()
+			events := make([]Event, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				n := min(batch, b.N-i)
+				for j := range events[:n] {
+					events[j] = Event{Seq: uint64(i + j), TS: Time(i + j), Type: Type((i + j) % 2)}
+				}
+				if batch == 1 {
+					p.Submit(events[0])
+				} else {
+					p.SubmitBatch(events[:n])
+				}
+			}
+			p.CloseInput()
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkOperatorProcess measures the serial operator data path alone —
 // no channels, no goroutines: route into 8 overlapping count windows,
 // shed (in the shed variant), buffer, and match seq(A;B) on every window

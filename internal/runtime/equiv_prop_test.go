@@ -146,6 +146,75 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// bareOperatorSignature is the reference of the submit-shape sweep: the
+// workload's events fed one by one to a bare operator.Operator — no
+// queue, no chunks, no goroutines — and flushed at the last timestamp.
+func bareOperatorSignature(t *testing.T, w propWorkload) string {
+	t.Helper()
+	op, err := operator.New(w.config().Operator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ces []operator.ComplexEvent
+	for _, e := range w.events {
+		ces = append(ces, op.Process(e)...)
+	}
+	ces = append(ces, op.Flush(w.events[len(w.events)-1].TS)...)
+	return streamSignature(ces)
+}
+
+// TestSerialSubmitShapeEquivalence pins that how a stream is cut into
+// input messages is invisible in the output: singles through Submit,
+// batches below, at and above the 256-event chunk size, and a random mix
+// of both all emit a complex-event stream byte-identical to a bare
+// operator's, and the counters add up — without ProcessingDelay (one
+// publish per message) and with it (one publish per sleep).
+func TestSerialSubmitShapeEquivalence(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	shapes := []int{1, 7, 8, 64, 256, 257, 1000, 0} // 1: Submit; 0: mixed
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, delay := range []time.Duration{0, time.Microsecond} {
+			nEvents := 0
+			if delay > 0 {
+				if seed > 2 {
+					continue
+				}
+				nEvents = 100 // every kept event sleeps; keep the sweep short
+			}
+			w := makeWorkload(seed, nEvents)
+			want := bareOperatorSignature(t, w)
+			for _, shape := range shapes {
+				rng := rand.New(rand.NewSource(int64(seed)))
+				cfg := w.config()
+				cfg.ProcessingDelay = delay
+				got, st := runCollectWith(t, cfg, func(p *Pipeline) {
+					for rest := w.events; len(rest) > 0; {
+						n := shape
+						if n == 0 {
+							n = 1 + rng.Intn(600)
+						}
+						n = min(n, len(rest))
+						if n == 1 {
+							p.Submit(rest[0])
+						} else {
+							p.SubmitBatch(rest[:n])
+						}
+						rest = rest[n:]
+					}
+				})
+				if sig := streamSignature(got); sig != want {
+					t.Errorf("%s/delay=%v/shape=%d: stream differs from the bare operator (%d complex events)",
+						w.label, delay, shape, len(got))
+				}
+				if n := uint64(len(w.events)); st.Submitted != n || st.Processed != n ||
+					st.Operator.EventsProcessed != n || st.QueueLen != 0 {
+					t.Errorf("%s/delay=%v/shape=%d: counters after drain: %+v", w.label, delay, shape, st)
+				}
+			}
+		}
+	}
+}
+
 // FuzzShardedEquivalence lets the fuzzer search the workload space —
 // including the skewed (bursty) arrival flavor baked into makeWorkload
 // — for any divergence between the serial pipeline and a 4-shard

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	runtimedebug "runtime/debug"
 	"time"
+
+	"repro/internal/event"
 )
 
 // PanicError is a panic captured inside a pipeline processing path. It
@@ -77,11 +79,29 @@ func (p *Pipeline) Trip(v any) *PanicError {
 	return pe
 }
 
-// recoverProc is the serial processing guard: deferred by processOne
-// and flushGuarded, it converts a panic into the pipeline's PanicError.
+// recoverProc is the serial flush guard: deferred by flushGuarded, it
+// converts a panic into the pipeline's PanicError.
 func (p *Pipeline) recoverProc(errp *error) {
 	if r := recover(); r != nil {
 		*errp = p.Trip(r)
+	}
+}
+
+// finishMsg is the serial message guard, deferred by processMsg on every
+// path: it converts a panic into the pipeline's PanicError, releases the
+// slots of the events no publish accounted for — so a message's slots
+// are released exactly once however it ended (completed, panicked,
+// context canceled) — and hands the chunk back to the submitters.
+func (p *Pipeline) finishMsg(events []event.Event, errp *error) {
+	if r := recover(); r != nil {
+		*errp = p.Trip(r)
+	}
+	if rest := len(events) - p.msgDone; rest > 0 {
+		p.releaseSlots(rest)
+	}
+	select {
+	case p.free <- events[:0]:
+	default:
 	}
 }
 
@@ -98,13 +118,7 @@ func (p *Pipeline) drainIn(ctx context.Context) {
 			if !ok {
 				return
 			}
-			if msg.batch == nil {
-				p.releaseSlot()
-			} else {
-				for range msg.batch {
-					p.releaseSlot()
-				}
-			}
+			p.releaseSlots(len(msg.events))
 		}
 	}
 }

@@ -118,26 +118,28 @@ type Config struct {
 	Lifecycle *LifecycleConfig
 }
 
-type queued struct {
-	ev      event.Event
-	arrived time.Time
-}
-
-// inMsg is one input-queue message: a single event (batch == nil) or a
-// chunk of events submitted together. Chunking amortizes the channel
-// send/receive rendezvous — the dominant per-event cost of the pump once
-// the data path itself is allocation-free — over up to submitChunk
-// events; the queued-event backlog is tracked separately (Pipeline.qlen)
-// so overload detection still sees events, not messages.
+// inMsg is the one message shape of the serial input queue: a chunk of
+// events submitted together (Submit sends a chunk of one) and their
+// shared arrival stamp. The processing goroutine handles a message as a
+// unit (processMsg), so the channel rendezvous, the panic guard, the
+// clock reads, the counter publication and the p.mu round trip are paid
+// once per message, not once per event; the queued-event backlog is
+// tracked separately (Pipeline.qlen) so overload detection still sees
+// events, not messages.
 type inMsg struct {
-	one   queued
-	batch []queued
+	events  []event.Event
+	arrived time.Time
 }
 
 // submitChunk bounds how many events one input message may carry.
 const submitChunk = 256
 
-// Stats is a snapshot of pipeline counters.
+// Stats is a snapshot of pipeline counters. On the serial path Submitted
+// advances once per enqueued chunk (at most 256 events), and Processed,
+// QueueLen and Operator are published once per processed message — after
+// every sleep as well under ProcessingDelay — so mid-run they may trail
+// the operator by at most one message (one sleep under delay); once Run
+// has returned they are exact.
 type Stats struct {
 	Submitted uint64
 	Processed uint64
@@ -232,6 +234,12 @@ type Pipeline struct {
 	// lifecycle supervises online model training (Config.Lifecycle).
 	lifecycle *Lifecycle
 
+	// free hands processed chunks back to the submitters (serial path).
+	// A submitter reuses one only when it is large enough and otherwise
+	// allocates exactly what it needs, so small messages never drag a
+	// full-size chunk through the queue.
+	free chan []event.Event
+
 	// Latency sampling state, touched only by the processing goroutine
 	// (serial) or under the partitioner mutex (sharded): events since
 	// the last sample, the current stride (doubled on every decimation),
@@ -239,6 +247,14 @@ type Pipeline struct {
 	latSkip    int
 	latEvery   int
 	latSamples int
+
+	// Per-message state of the serial processing goroutine (processMsg):
+	// the latency samples staged since the last publish, how many of the
+	// message's events are already published (counters advanced, slots
+	// released), and the clock reading busy time is next measured from.
+	latBuf   []latSample
+	msgDone  int
+	msgClock time.Time
 
 	submitted   atomic.Uint64
 	processed   atomic.Uint64
@@ -275,7 +291,9 @@ type Pipeline struct {
 	runCalled bool
 	// opStats mirrors the serial operator's counters so Stats() stays
 	// data-race free when called mid-run (the operator itself is owned by
-	// the processing goroutine); updated under mu after every event.
+	// the processing goroutine); updated under mu at every publish. Only
+	// the processing goroutine writes it, so publish also reads it, lock
+	// free, as the baseline of the next counter delta.
 	opStats operator.Stats
 }
 
@@ -381,7 +399,12 @@ func New(cfg Config) (*Pipeline, error) {
 		lifecycle: lc,
 		latEvery:  cfg.LatencySampleEvery,
 		in:        make(chan inMsg, cfg.QueueCap),
-		out:       make(chan operator.ComplexEvent, cfg.OutBuffer),
+		// As deep as the input queue measured in full chunks: enough for a
+		// submitter running a whole queue of 256-event messages ahead to
+		// find every processed chunk waiting, and a bound (a few MB at the
+		// default QueueCap) on what an idle pipeline keeps alive.
+		free: make(chan []event.Event, cfg.QueueCap/submitChunk+1),
+		out:  make(chan operator.ComplexEvent, cfg.OutBuffer),
 	}
 	p.flowCond = sync.NewCond(&p.flowMu)
 	if cfg.Shards > 1 {
@@ -436,29 +459,59 @@ func New(cfg Config) (*Pipeline, error) {
 // waitCapacity blocks the producer until the event backlog is below
 // QueueCap. Submit and SubmitBatch share it, so mixed producers see one
 // event-based bound; the channel's message capacity is only a secondary
-// backstop. Wake-up is condvar-driven by the pump as it drains.
+// backstop. Wake-up is condvar-driven by the pump as it drains. The
+// waiter raises hasWaiters before it re-checks the backlog and the pump
+// lowers the backlog before it reads hasWaiters, so one of the two always
+// sees the other: a queue that drains between the check and the Wait
+// cannot strand the producer.
 func (p *Pipeline) waitCapacity() {
 	if int(p.qlen.Load()) < p.cfg.QueueCap {
 		return
 	}
 	p.flowMu.Lock()
-	for int(p.qlen.Load()) >= p.cfg.QueueCap {
+	for {
 		p.hasWaiters.Store(true)
+		if int(p.qlen.Load()) < p.cfg.QueueCap {
+			break
+		}
 		p.flowCond.Wait()
 	}
 	p.flowMu.Unlock()
 }
 
-// releaseSlot marks one queued event processed and wakes blocked
+// releaseSlots marks n queued events processed and wakes blocked
 // producers once the backlog falls back below QueueCap. The no-waiter
 // fast path is a single atomic load.
-func (p *Pipeline) releaseSlot() {
-	if int(p.qlen.Add(-1)) < p.cfg.QueueCap && p.hasWaiters.Load() {
+func (p *Pipeline) releaseSlots(n int) {
+	if int(p.qlen.Add(-int64(n))) < p.cfg.QueueCap && p.hasWaiters.Load() {
 		p.flowMu.Lock()
 		p.hasWaiters.Store(false)
 		p.flowCond.Broadcast()
 		p.flowMu.Unlock()
 	}
+}
+
+// enqueue copies events (at most submitChunk) into a message chunk and
+// sends it, blocking while the backlog is at QueueCap. A recycled chunk
+// is reused only when it is large enough; otherwise the chunk is
+// allocated exact-fit and the undersized one is left to the collector,
+// so the ring's chunks grow to the submitters' batch size and steady
+// state allocates nothing.
+func (p *Pipeline) enqueue(events []event.Event, arrived time.Time) {
+	p.waitCapacity()
+	var chunk []event.Event
+	select {
+	case chunk = <-p.free:
+	default:
+	}
+	if cap(chunk) < len(events) {
+		chunk = make([]event.Event, len(events))
+	}
+	chunk = chunk[:len(events)]
+	copy(chunk, events)
+	p.submitted.Add(uint64(len(events)))
+	p.qlen.Add(int64(len(events)))
+	p.in <- inMsg{events: chunk, arrived: arrived}
 }
 
 // Submit enqueues an event for processing; it blocks when the input
@@ -468,17 +521,16 @@ func (p *Pipeline) Submit(e event.Event) {
 		p.part.submitOne(e)
 		return
 	}
-	p.waitCapacity()
-	p.submitted.Add(1)
-	p.qlen.Add(1)
-	p.in <- inMsg{one: queued{ev: e, arrived: time.Now()}}
+	one := [1]event.Event{e}
+	p.enqueue(one[:], time.Now())
 }
 
 // SubmitBatch enqueues a batch of events in stream order, amortizing the
-// clock read and the channel rendezvous over chunks of the batch; it
-// blocks while the input queue is full. Events are copied into the
+// clock read and the channel rendezvous over chunks of the batch (one
+// input message per 256 events, all carrying the call's arrival stamp);
+// it blocks while the input queue is full. Events are copied into the
 // chunks, so the caller may reuse the slice immediately. The submitted
-// counter still advances per enqueued event so the detector's input-rate
+// counter advances per enqueued chunk, so the detector's input-rate
 // estimate tracks actual arrivals even when a large batch blocks on a
 // full queue. SubmitBatch must not be called after CloseInput.
 func (p *Pipeline) SubmitBatch(events []event.Event) {
@@ -491,26 +543,16 @@ func (p *Pipeline) SubmitBatch(events []event.Event) {
 		p.part.submitBatch(events)
 		return
 	}
+	// The channel bounds messages, so chunked submission alone would
+	// weaken the event-based backpressure by up to submitChunk x; enqueue
+	// gates each chunk on the event backlog instead, and the overshoot is
+	// at most one chunk per producer.
 	now := time.Now()
-	for len(events) > 0 {
-		// The channel bounds messages, so chunked submission alone would
-		// weaken the event-based backpressure by up to submitChunk x.
-		// Gate each chunk on the event backlog instead; the overshoot is
-		// at most one chunk per producer.
-		p.waitCapacity()
-		n := len(events)
-		if n > submitChunk {
-			n = submitChunk
-		}
-		chunk := make([]queued, n)
-		for i, e := range events[:n] {
-			chunk[i] = queued{ev: e, arrived: now}
-			p.submitted.Add(1)
-		}
-		p.qlen.Add(int64(n))
-		p.in <- inMsg{batch: chunk}
-		events = events[n:]
+	for len(events) > submitChunk {
+		p.enqueue(events[:submitChunk], now)
+		events = events[submitChunk:]
 	}
+	p.enqueue(events, now)
 }
 
 // CloseInput signals end of stream; Run drains the queue and returns.
@@ -676,58 +718,96 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 }
 
-// processMsg unpacks one input message (single event or chunk).
-func (p *Pipeline) processMsg(ctx context.Context, msg inMsg) error {
-	if msg.batch == nil {
-		err := p.processOne(ctx, msg.one)
-		p.releaseSlot()
-		return err
-	}
-	for _, q := range msg.batch {
-		err := p.processOne(ctx, q)
-		p.releaseSlot()
-		if err != nil {
-			return err
+// processMsg drives the operator over one input message as a unit, the
+// serial counterpart of shard.processBatch: one guard, one clock pair,
+// one counter delta and one p.mu round trip per message; the clock is
+// read per event only for the events sampleLatency picks. Complex events
+// still leave as the event that completed them is processed, so a lone
+// message flows through without waiting for anything.
+//
+// ProcessingDelay sleeps right after the event that kept the
+// memberships, and everything the detector reads is published after
+// every sleep, so under delay it observes the backlog and the service
+// rate event by event.
+func (p *Pipeline) processMsg(ctx context.Context, msg inMsg) (err error) {
+	p.msgDone, p.msgClock = 0, time.Now()
+	defer p.finishMsg(msg.events, &err)
+	delay := p.cfg.ProcessingDelay
+	kept := p.opStats.MembershipsKept
+	for i, e := range msg.events {
+		complexEvents := p.op.Process(e)
+		slept := false
+		if delay > 0 {
+			if k := p.op.Stats().MembershipsKept; k > kept {
+				time.Sleep(time.Duration(k-kept) * delay)
+				kept, slept = k, true
+			}
+		}
+		if sample := p.sampleLatency(); sample || slept {
+			// One clock read serves the latency sample and the publish.
+			now := time.Now()
+			if sample {
+				p.latBuf = append(p.latBuf, latSample{
+					ts:  event.Time(now.UnixMicro()),
+					lat: event.Time(now.Sub(msg.arrived).Microseconds()),
+				})
+			}
+			if slept {
+				p.publish(msg.events, i+1, now)
+				// A message of sleeping events can take long: notice a
+				// cancel here, not only at the next full Out channel.
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+			}
+		}
+		for _, ce := range complexEvents {
+			select {
+			case p.out <- ce:
+				continue
+			default:
+			}
+			// The consumer is behind. Publish first, so the counters are
+			// current while this goroutine is parked, and restart the
+			// clock afterwards: waiting on the consumer is not busy time.
+			p.publish(msg.events, i+1, time.Now())
+			select {
+			case p.out <- ce:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			p.msgClock = time.Now()
 		}
 	}
+	p.publish(msg.events, len(msg.events), time.Now())
 	return nil
 }
 
-func (p *Pipeline) processOne(ctx context.Context, q queued) (err error) {
-	defer p.recoverProc(&err)
-	start := time.Now()
-	before := p.op.Stats()
-	complexEvents := p.op.Process(q.ev)
+// publish makes the first n events of the current message visible: the
+// counters the detector and Stats read advance by what the operator did
+// since the last publish, the staged latency samples fold into the
+// trace, and the events' backpressure slots are released.
+func (p *Pipeline) publish(events []event.Event, n int, now time.Time) {
+	if n == p.msgDone {
+		return
+	}
 	after := p.op.Stats()
-	kept := after.MembershipsKept - before.MembershipsKept
-	if d := p.cfg.ProcessingDelay; d > 0 && kept > 0 {
-		time.Sleep(time.Duration(kept) * d)
-	}
-	// One clock read serves both the busy-time and the latency sample.
-	end := time.Now()
-	p.busyNanos.Add(end.Sub(start).Nanoseconds())
-	p.processed.Add(1)
-	p.memberships.Add(after.Memberships - before.Memberships)
-	p.kept.Add(kept)
+	p.busyNanos.Add(now.Sub(p.msgClock).Nanoseconds())
+	p.processed.Add(uint64(n - p.msgDone))
+	p.memberships.Add(after.Memberships - p.opStats.Memberships)
+	p.kept.Add(after.MembershipsKept - p.opStats.MembershipsKept)
 
-	sampleLat := p.sampleLatency()
-	lat := end.Sub(q.arrived)
 	p.mu.Lock()
-	if sampleLat {
-		p.latency.Add(event.Time(start.UnixMicro()), event.Time(lat.Microseconds()))
+	for _, ls := range p.latBuf {
+		p.latency.Add(ls.ts, ls.lat)
 	}
-	p.lastTS = q.ev.TS
+	p.lastTS = events[n-1].TS
 	p.opStats = after
 	p.mu.Unlock()
+	p.latBuf = p.latBuf[:0]
 
-	for _, ce := range complexEvents {
-		select {
-		case p.out <- ce:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
+	p.releaseSlots(n - p.msgDone)
+	p.msgDone, p.msgClock = n, now
 }
 
 func (p *Pipeline) flush(ctx context.Context) {

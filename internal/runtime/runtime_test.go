@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,5 +322,131 @@ func TestBackpressureEventBound(t *testing.T) {
 	limit := int64(queueCap + producers*submitChunk)
 	if got := maxSeen.Load(); got > limit {
 		t.Errorf("backlog peaked at %d events, want <= %d", got, limit)
+	}
+}
+
+// TestBackpressureNoLostWakeup aims one producer's capacity check at the
+// instant the pump releases the last queued slots: a producer that tests
+// the backlog before announcing itself misses the pump's only wake-up and
+// parks forever on an empty queue. To meet the pump there, the producer
+// waits until its previous submission shows up in the processed counter —
+// which the pump advances a few dozen nanoseconds before it releases the
+// slots — and then submits after a short, varying pause that sweeps the
+// check across the release. The watchdog turns the hang into a failure
+// with the counters that show it (Submitted == Processed, QueueLen 0).
+func TestBackpressureNoLostWakeup(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	for _, queueCap := range []int{1, 8, 64} {
+		for _, batch := range []int{1, 64} {
+			// The pump pays for every event of a batch: fewer, larger
+			// submits keep each combination near the same wall-clock. A
+			// release smaller than QueueCap cannot empty the queue, so the
+			// releases after it rescue a missed wake-up; those shapes only
+			// check that nothing else hangs and get a tenth of the budget.
+			submits := 320_000
+			if batch > 1 {
+				submits = 16_000
+			}
+			if queueCap > batch {
+				submits /= 10
+			}
+			p, err := New(Config{Operator: opConfig(nil), QueueCap: queueCap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- p.Run(context.Background()) }()
+			go func() {
+				for range p.Out() {
+				}
+			}()
+			produced := make(chan struct{})
+			go func() {
+				defer close(produced)
+				events := make([]event.Event, batch)
+				var seq uint64
+				for i := 0; i < submits; i++ {
+					for j := range events {
+						events[j] = event.Event{Seq: seq, TS: event.Time(seq), Type: typeA}
+						seq++
+					}
+					if batch == 1 {
+						p.Submit(events[0])
+					} else {
+						p.SubmitBatch(events)
+					}
+					for p.processed.Load() < seq {
+						stdruntime.Gosched()
+					}
+					pause := 0
+					for k := i % 128; k > 0; k-- {
+						pause += k & 1
+					}
+					pauseSink.Store(int64(pause))
+				}
+			}()
+			select {
+			case <-produced:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("QueueCap=%d batch=%d: producer parked forever: %+v", queueCap, batch, p.Stats())
+			}
+			p.CloseInput()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if st := p.Stats(); st.Processed != uint64(submits*batch) || st.QueueLen != 0 {
+				t.Errorf("QueueCap=%d batch=%d: counters after drain: %+v", queueCap, batch, st)
+			}
+		}
+	}
+}
+
+// pauseSink keeps the producer's pause loop above from being compiled out.
+var pauseSink atomic.Int64
+
+// TestSerialSubmitSteadyStateZeroAlloc gates the serial pipeline's share
+// of ARCHITECTURE.md's "zero heap allocations in steady state": with the
+// chunk ring warm and the consumer keeping up, a SubmitBatch — copy into
+// a recycled chunk, channel rendezvous, guarded per-message processing,
+// publish, chunk hand-back — allocates nothing, at the 8-event frames of
+// a light wire client and at full 256-event chunks. AllocsPerRun counts
+// the whole process, so the processing goroutine is covered too; the
+// stream matches nothing (complex events escape and do allocate) and
+// latency sampling is strided out (the trace grows by design).
+func TestSerialSubmitSteadyStateZeroAlloc(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	for _, batch := range []int{8, 256} {
+		p, err := New(Config{Operator: opConfig(nil), LatencySampleEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- p.Run(context.Background()) }()
+		go func() {
+			for range p.Out() {
+			}
+		}()
+		events := make([]event.Event, batch)
+		var seq uint64
+		step := func() {
+			for i := range events {
+				events[i] = event.Event{Seq: seq, TS: event.Time(seq), Type: typeA}
+				seq++
+			}
+			p.SubmitBatch(events)
+			for p.processed.Load() < seq {
+				stdruntime.Gosched()
+			}
+		}
+		for i := 0; i < 64; i++ { // warm the chunk ring, the window pool and the scratch
+			step()
+		}
+		if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+			t.Errorf("batch=%d: %.1f allocs per submitted batch, want 0", batch, allocs)
+		}
+		p.CloseInput()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -15,9 +15,16 @@ import (
 	"repro/internal/window"
 )
 
-// runCollect runs the pipeline over the stream and returns its output in
-// emission order.
+// runCollect runs the pipeline over the stream, submitted as one batch,
+// and returns its output in emission order.
 func runCollect(t *testing.T, cfg Config, events []event.Event) ([]operator.ComplexEvent, Stats) {
+	t.Helper()
+	return runCollectWith(t, cfg, func(p *Pipeline) { p.SubmitBatch(events) })
+}
+
+// runCollectWith runs the pipeline over whatever submit feeds it and
+// returns its output in emission order.
+func runCollectWith(t *testing.T, cfg Config, submit func(*Pipeline)) ([]operator.ComplexEvent, Stats) {
 	t.Helper()
 	p, err := New(cfg)
 	if err != nil {
@@ -33,7 +40,7 @@ func runCollect(t *testing.T, cfg Config, events []event.Event) ([]operator.Comp
 			detected = append(detected, ce)
 		}
 	}()
-	p.SubmitBatch(events)
+	submit(p)
 	p.CloseInput()
 	if err := <-done; err != nil {
 		t.Fatal(err)
