@@ -41,7 +41,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/operator"
-	"repro/internal/parallel"
 	"repro/internal/pattern"
 	"repro/internal/queries"
 	"repro/internal/runtime"
@@ -439,25 +438,6 @@ func SaveModel(m *Model, w io.Writer) error { return m.Save(w) }
 
 // LoadModel reads a model written by SaveModel, verifying the checksum.
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModel(r) }
-
-// Window-parallel matching.
-type (
-	// ParallelExecutor matches closed windows on a worker pool,
-	// emitting complex events in window-close order.
-	ParallelExecutor = parallel.Executor
-	// ParallelConfig assembles an executor.
-	ParallelConfig = parallel.Config
-)
-
-// NewParallelExecutor builds a window-parallel matching pool.
-func NewParallelExecutor(cfg ParallelConfig) (*ParallelExecutor, error) {
-	return parallel.New(cfg)
-}
-
-// ParallelReplay matches a full stream on a worker pool.
-func ParallelReplay(events []Event, spec WindowSpec, cfg ParallelConfig) ([]ComplexEvent, error) {
-	return parallel.Replay(events, spec, cfg)
-}
 
 // Query language.
 type (

@@ -12,6 +12,7 @@ type Decision struct {
 	Overloaded bool
 	QMax       float64      // maximum tolerable queue size before LB violation
 	Trigger    float64      // f * qmax, the activation threshold
+	Delta      float64      // δ: events per second to drop (0 unless Overloaded)
 	X          float64      // events to drop per partition per window
 	Part       Partitioning // dropping intervals for the current window size
 }
@@ -110,17 +111,25 @@ func (d *OverloadDetector) Evaluate(qsize int, rateR, throughput float64, ws int
 		return dec
 	}
 	dec.Overloaded = true
-	if rateR <= 0 {
-		return dec
-	}
 	delta := rateR - throughput
 	if delta < 0 {
 		delta = 0
 	}
 	delta += (float64(qsize) - dec.Trigger) / d.cfg.LatencyBound.Seconds()
-	if delta <= 0 {
+	// δ is set before the rate check: a backlog above the trigger needs
+	// draining even when nothing is arriving any more, and callers that
+	// split δ themselves (the engine's budget) still get it.
+	dec.Delta = delta
+	if rateR <= 0 {
 		return dec
 	}
-	dec.X = delta * float64(dec.Part.PSize) / rateR
+	dec.X = DropAmount(delta, dec.Part.PSize, rateR)
 	return dec
+}
+
+// DropAmount converts a drop rate δ (events/s) into x, the events to drop
+// per partition of psize events, for a stream arriving at rateR events/s:
+// x = δ * psize/R.
+func DropAmount(delta float64, psize int, rateR float64) float64 {
+	return delta * float64(psize) / rateR
 }

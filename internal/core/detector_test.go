@@ -93,6 +93,9 @@ func TestEvaluateOverloaded(t *testing.T) {
 	}
 	// delta = (R - th) + backlog correction (900-800)/1s = 300;
 	// x = delta * psize/R.
+	if dec.Delta != 300 {
+		t.Errorf("Delta = %v, want 300", dec.Delta)
+	}
 	wantX := 300 * float64(dec.Part.PSize) / 1200
 	if math.Abs(dec.X-wantX) > 1e-9 {
 		t.Errorf("X = %v, want %v", dec.X, wantX)
@@ -141,6 +144,10 @@ func TestEvaluateZeroRateAboveTrigger(t *testing.T) {
 	}
 	if dec.X != 0 {
 		t.Errorf("X with zero rate = %v, want 0", dec.X)
+	}
+	// A draining backlog still needs (900-800)/1s dropped.
+	if dec.Delta != 100 {
+		t.Errorf("Delta with zero rate = %v, want 100", dec.Delta)
 	}
 }
 

@@ -169,14 +169,14 @@ func (e *Engine) budgetLoop(stop, done chan struct{}) {
 }
 
 // evaluateBudget is one budget tick: measure, decide, distribute,
-// command. Section 3.4's per-operator detector logic is applied at the
-// aggregate level — qmax = LB * summed throughput, trigger = f * qmax,
-// drop rate = rate excess plus backlog correction — and the resulting
-// drop rate is split tenant-first by distributeTenantBudget (over-quota
-// tenants absorb drops before compliant ones), then across each
-// tenant's queries by distributeBudget. With every measured query in
-// one tenant group the tenant level degenerates to a single share equal
-// to the whole delta, reproducing the single-tenant behavior exactly.
+// command. Section 3.4's per-operator detector is evaluated at the
+// aggregate level — summed backlog, summed rate, summed throughput —
+// and the drop rate δ it returns is split tenant-first by
+// distributeTenantBudget (over-quota tenants absorb drops before
+// compliant ones), then across each tenant's queries by
+// distributeBudget. With every measured query in one tenant group the
+// tenant level degenerates to a single share equal to the whole delta,
+// reproducing the single-tenant behavior exactly.
 func (e *Engine) evaluateBudget(qs []*Query) {
 	type measured struct {
 		q     *Query
@@ -187,9 +187,9 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 		ws    int
 	}
 	// totalQueue accumulates backlogs in events: the ingress queue plus
-	// each query's Stats().QueueLen, which sharded pipelines report already
-	// normalized from staged memberships to events by the windowing
-	// overlap factor — so serial and sharded queries weigh equally here.
+	// each query's Stats().QueueLen, which serial and sharded pipelines
+	// alike report in events (runtime's backlogEvents), so they weigh
+	// equally here.
 	var (
 		ms         []measured
 		totalQueue = len(e.in)
@@ -222,9 +222,10 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 		return // no throughput estimates yet; nothing to decide on
 	}
 
-	qmax := e.det.QMax(thSum)
-	trigger := e.cfg.F * qmax
-	if float64(totalQueue) <= trigger {
+	// The aggregate has no window of its own: only Overloaded and δ are
+	// read off this decision, each query's partitioning is computed below.
+	dec := e.det.Evaluate(totalQueue, rateSum, thSum, 0)
+	if !dec.Overloaded {
 		e.overloaded.Store(false)
 		storeFloat(&e.dropRate, 0)
 		for _, rec := range recs {
@@ -236,14 +237,10 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 		return
 	}
 
-	delta := rateSum - thSum
-	if delta < 0 {
-		delta = 0
-	}
-	delta += (float64(totalQueue) - trigger) / e.cfg.LatencyBound.Seconds()
+	delta := dec.Delta
 	e.overloaded.Store(true)
 	storeFloat(&e.dropRate, delta)
-	if delta <= 0 || len(ms) == 0 {
+	if len(ms) == 0 {
 		return
 	}
 
@@ -280,11 +277,12 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 				rec = recs[gid]
 			}
 			tm := tenantMeasure{Weight: 1}
-			var groupTh, groupQueue float64
+			var groupTh float64
+			var groupQueue int
 			for _, i := range members[gid] {
 				tm.Cap += caps[i]
 				groupTh += ms[i].th
-				groupQueue += float64(ms[i].queue)
+				groupQueue += ms[i].queue
 			}
 			if rec != nil {
 				tm.Rate = rec.rate()
@@ -316,12 +314,11 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 						tm.Over = tm.Rate - quota.Rate
 						rec.overDebt = true
 					}
-					queueOver := (groupQueue - e.cfg.F*e.det.QMax(groupTh)) /
-						e.cfg.LatencyBound.Seconds()
-					if queueOver <= 0 {
+					debt := e.det.Evaluate(groupQueue, 0, groupTh, 0)
+					if !debt.Overloaded {
 						rec.overDebt = tm.Over > 0
-					} else if rec.overDebt && queueOver > tm.Over {
-						tm.Over = queueOver
+					} else if rec.overDebt && debt.Delta > tm.Over {
+						tm.Over = debt.Delta
 					}
 				}
 			}
@@ -351,12 +348,10 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 				m.q.shedder.Deactivate()
 				continue
 			}
-			qmaxQ := e.det.QMax(m.th)
-			part := core.ComputePartitioning(m.ws, qmaxQ, e.cfg.F)
-			x := shares[j] * float64(part.PSize) / m.rate
+			part := core.ComputePartitioning(m.ws, e.det.QMax(m.th), e.cfg.F)
 			// Configure only fails for an untrained model; a lost beat
 			// just delays shedding by one poll period.
-			_ = m.q.shedder.Configure(part, x)
+			_ = m.q.shedder.Configure(part, core.DropAmount(shares[j], part.PSize, m.rate))
 		}
 	}
 }

@@ -43,11 +43,12 @@ import (
 	"repro/internal/runtime"
 )
 
+// ingressQueueCap bounds the engine ingress queue in events; Submit
+// blocks when it is full.
+const ingressQueueCap = 1 << 16
+
 // Config assembles an engine.
 type Config struct {
-	// QueueCap bounds the engine ingress queue; Submit blocks when full.
-	// Default 1 << 16.
-	QueueCap int
 	// QueryQueueCap is the default per-query pipeline queue capacity
 	// (overridable per query). Default 1 << 14.
 	QueryQueueCap int
@@ -201,12 +202,6 @@ type Query struct {
 // New validates the configuration and builds an engine with no queries
 // registered yet.
 func New(cfg Config) (*Engine, error) {
-	if cfg.QueueCap < 0 {
-		return nil, fmt.Errorf("engine: QueueCap must be >= 0, got %d", cfg.QueueCap)
-	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 1 << 16
-	}
 	if cfg.QueryQueueCap < 0 {
 		return nil, fmt.Errorf("engine: QueryQueueCap must be >= 0, got %d", cfg.QueryQueueCap)
 	}
@@ -224,7 +219,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:         cfg,
-		in:          make(chan tenantEvent, cfg.QueueCap),
+		in:          make(chan tenantEvent, ingressQueueCap),
 		byName:      make(map[string]*Query),
 		quarantined: make(map[string]*QuarantineStats),
 		faults:      make(chan *Query, 64),

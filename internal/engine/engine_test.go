@@ -381,9 +381,6 @@ func TestRegisterErrors(t *testing.T) {
 	if _, err := e.Register(QueryConfig{Query: pairQuery(t, 0)}); err == nil {
 		t.Error("duplicate name must fail")
 	}
-	if _, err := New(Config{QueueCap: -1}); err == nil {
-		t.Error("negative QueueCap must fail")
-	}
 	if _, err := New(Config{LatencyBound: event.Second, F: 2}); err == nil {
 		t.Error("invalid F must fail")
 	}

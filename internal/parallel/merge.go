@@ -1,73 +1,10 @@
+// Package parallel holds the ordered-merge stage of the sharded runtime:
+// shards close and match their windows concurrently, and the EpochMerger
+// hands the results on in window-close order, preserving the serial
+// operator's output order.
 package parallel
 
 import "sync"
-
-// Ticket is a reserved slot in a Sequencer's output order. The producer
-// that computed the slot's value calls Complete exactly once; the
-// sequencer's emitter blocks on tickets in reservation order, so results
-// are delivered in the order slots were opened no matter which producer
-// finishes first.
-type Ticket[T any] struct {
-	done chan T
-}
-
-// Complete publishes the slot's value. It never blocks (the channel is
-// buffered for exactly one value) and must be called exactly once.
-func (t *Ticket[T]) Complete(v T) { t.done <- v }
-
-// Sequencer re-serializes results produced out of order by concurrent
-// workers: Open reserves the next output slot, workers Complete their
-// tickets whenever they finish, and a single emitter goroutine hands each
-// value to the emit callback in reservation order. This is the ordered
-// output stage shared by the window-parallel Executor and the sharded
-// live runtime — both need complex events merged back in window-close
-// order after parallel matching.
-type Sequencer[T any] struct {
-	order chan *Ticket[T]
-	emit  func(T)
-	start sync.Once
-	wg    sync.WaitGroup
-}
-
-// NewSequencer builds the sequencer. buf bounds how many slots may be
-// open (reserved but not yet emitted) before Open blocks; emit is called
-// from the emitter goroutine only, in slot order. The emitter goroutine
-// starts lazily on the first Open, so a sequencer that is never used
-// owns no goroutine and may be abandoned without Close.
-func NewSequencer[T any](buf int, emit func(T)) *Sequencer[T] {
-	if buf < 1 {
-		buf = 1
-	}
-	return &Sequencer[T]{order: make(chan *Ticket[T], buf), emit: emit}
-}
-
-// run launches the emitter goroutine (once, from the first Open).
-func (s *Sequencer[T]) run() {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for t := range s.order {
-			s.emit(<-t.done)
-		}
-	}()
-}
-
-// Open reserves the next output slot. Reservation order — not completion
-// order — is emission order. Must not be called after Close.
-func (s *Sequencer[T]) Open() *Ticket[T] {
-	s.start.Do(s.run)
-	t := &Ticket[T]{done: make(chan T, 1)}
-	s.order <- t
-	return t
-}
-
-// Close waits for every reserved slot to be completed and emitted, then
-// stops the emitter. Every opened ticket must eventually be completed or
-// Close deadlocks.
-func (s *Sequencer[T]) Close() {
-	close(s.order)
-	s.wg.Wait()
-}
 
 // EpochResult is one unit of an epoch-merged stream: a value tagged with
 // its dense, monotonically increasing emission slot. Epochs start at 0
@@ -79,13 +16,11 @@ type EpochResult[T any] struct {
 }
 
 // EpochMerger re-serializes results produced out of order by concurrent
-// workers, like Sequencer, but without a per-slot reservation handshake:
-// producers publish *batches* of epoch-tagged results whenever they
-// finish them, and a single emitter goroutine buffers out-of-order
-// epochs and hands values to the emit callback in epoch order. Where the
-// Sequencer costs one channel allocation and two rendezvous per slot,
-// the merger costs one rendezvous per published batch — the merge side
-// of the sharded runtime's run-to-completion batches.
+// workers: producers publish *batches* of epoch-tagged results whenever
+// they finish them, and a single emitter goroutine buffers out-of-order
+// epochs and hands values to the emit callback in epoch order. It costs
+// one rendezvous per published batch — the merge side of the sharded
+// runtime's run-to-completion batches.
 //
 // The zero epoch is emitted first; the epoch counter is owned by
 // whoever assigns epochs (the runtime's partitioner), not the merger.
@@ -94,6 +29,7 @@ type EpochMerger[T any] struct {
 	back  chan []EpochResult[T]
 	emit  func(T)
 	start sync.Once
+	stop  sync.Once
 	wg    sync.WaitGroup
 }
 
@@ -172,8 +108,9 @@ func (m *EpochMerger[T]) Publish(batch []EpochResult[T]) {
 
 // Close waits for every published batch to be emitted, then stops the
 // emitter. Epochs never published (a canceled run) are simply dropped:
-// the merger emits the longest contiguous prefix it received.
+// the merger emits the longest contiguous prefix it received. Calling
+// Close again is a no-op.
 func (m *EpochMerger[T]) Close() {
-	close(m.in)
+	m.stop.Do(func() { close(m.in) })
 	m.wg.Wait()
 }

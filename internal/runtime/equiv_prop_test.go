@@ -131,7 +131,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				for _, steal := range []int{-1, 1} {
 					cfg := w.config()
 					cfg.Shards = shards
-					cfg.StealThreshold = steal
+					cfg.stealThreshold = steal
 					if steal > 0 {
 						cfg.ProcessingDelay = 5 * time.Microsecond
 					}
@@ -229,9 +229,9 @@ func FuzzShardedEquivalence(f *testing.F) {
 		serial, _ := runCollect(t, w.config(), w.events)
 		cfg := w.config()
 		cfg.Shards = 4
-		cfg.StealThreshold = -1
+		cfg.stealThreshold = -1
 		if steal {
-			cfg.StealThreshold = 1
+			cfg.stealThreshold = 1
 			cfg.ProcessingDelay = 5 * time.Microsecond
 		}
 		sharded, _ := runCollect(t, cfg, w.events)

@@ -29,7 +29,7 @@ const (
 const (
 	// defaultStealThreshold is the backlog imbalance (staged
 	// memberships, most- minus least-loaded shard) that triggers a
-	// steal when Config.StealThreshold is 0.
+	// steal.
 	defaultStealThreshold = 2048
 	// stealCheckEvery amortizes the imbalance check: the partitioner
 	// examines shard backlogs once per this many routed events, which
@@ -132,7 +132,7 @@ func newPartitioner(p *Pipeline, spec window.Spec) (*partitioner, error) {
 		nextSlot:       make([]int32, n),
 		evMark:         make([]uint64, n),
 		evIdx:          make([]int32, n),
-		stealThreshold: p.cfg.StealThreshold,
+		stealThreshold: p.cfg.stealThreshold,
 		done:           make(chan struct{}),
 	}, nil
 }

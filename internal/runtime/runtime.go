@@ -15,9 +15,10 @@
 // bounded queue. Closed-window results carry a monotonic epoch (the
 // global close order) and an epoch merge stage re-serializes them, so
 // shard=N output equals shard=1 output while the per-membership
-// processing cost spreads across N cores. One overload detector observes
-// the aggregate input rate and the summed per-shard throughput and
-// commands all shedders in lockstep.
+// processing cost spreads across N cores. Serial or sharded, one control
+// loop (control.go) observes the input rate, the summed per-lane
+// throughput and the backlog in events, and commands all shedders in
+// lockstep.
 //
 // The runtime mirrors the discrete-event simulator (internal/sim) on real
 // clocks and channels; the simulator is the reproducible instrument for
@@ -89,18 +90,11 @@ type Config struct {
 	// (safe for core.Shedder, whose state is swapped atomically). Ignored
 	// when Shards <= 1.
 	ShardDeciders []operator.Decider
-	// StealThreshold tunes window work stealing on the sharded path: when
-	// the most-backlogged shard's staged-membership backlog exceeds the
-	// least-loaded shard's by more than this many memberships, the
-	// partitioner reassigns an open (not-yet-closing) window from the
-	// former to the latter — ownership, buffered state and pool entry
-	// move to the thief, and all future memberships of the window follow
-	// (see partition.go). Complex-event output is byte-identical with
-	// stealing on or off: window identities, positions and close epochs
-	// are decided by the partitioner's tracker either way. 0 selects the
-	// default (2048 memberships); negative disables stealing. Ignored
-	// when Shards <= 1.
-	StealThreshold int
+	// stealThreshold is the sharded path's work-stealing trigger in staged
+	// memberships (see partition.go). Production code leaves it 0, which
+	// selects defaultStealThreshold; only this package's tests set it —
+	// negative disables stealing.
+	stealThreshold int
 	// OnPanic, when non-nil, is called once — from the goroutine that
 	// panicked, right as the pipeline's failed flag trips — when a
 	// processing path panics (guard.go). The pipeline then drains
@@ -143,13 +137,16 @@ const submitChunk = 256
 type Stats struct {
 	Submitted uint64
 	Processed uint64
-	// QueueLen is the queued backlog in events: the input queue when
-	// serial, or the shards' staged memberships normalized by the
-	// windowing overlap factor when sharded (see ShardStats.QueueLen).
+	// QueueLen is the backlog in events, the figure the overload detector
+	// evaluates: the input queue when serial; when sharded, the shards'
+	// staged memberships (ShardStats.QueueLen) divided by the cumulative
+	// memberships-per-event factor, whether that is above 1 (overlapping
+	// windows) or far below it (sparse predicate windows). The factor
+	// trails the shards by whatever they have not processed yet.
 	QueueLen int
-	// InputRate and Throughput are the detector's current estimates in
-	// events per second. When sharded, Throughput is the summed per-shard
-	// estimate.
+	// InputRate and Throughput are the control loop's current estimates
+	// in events per second, refreshed once per PollInterval. When sharded,
+	// Throughput is the summed per-shard estimate.
 	InputRate  float64
 	Throughput float64
 	// Operator aggregates operator counters; when sharded it is the
@@ -256,12 +253,15 @@ type Pipeline struct {
 	msgDone  int
 	msgClock time.Time
 
-	submitted   atomic.Uint64
-	processed   atomic.Uint64
-	qlen        atomic.Int64 // events enqueued and not yet processed
-	busyNanos   atomic.Int64
-	memberships atomic.Uint64
-	kept        atomic.Uint64
+	submitted atomic.Uint64
+	processed atomic.Uint64
+	qlen      atomic.Int64 // events enqueued and not yet processed
+
+	// lane holds the serial processing goroutine's control-loop counters;
+	// lanes is what the loop iterates: &lane when serial, one per shard
+	// when sharded.
+	lane
+	lanes []*lane
 
 	// Event-based backpressure: producers block on flowCond while qlen
 	// is at QueueCap; the pump wakes them as the backlog drains.
@@ -270,8 +270,7 @@ type Pipeline struct {
 	flowCond   *sync.Cond
 	hasWaiters atomic.Bool
 
-	rateEst atomic.Uint64 // float64 bits
-	thEst   atomic.Uint64 // float64 bits
+	rateEst atomic.Uint64 // float64 bits: input rate in events/s
 
 	// Panic containment (guard.go): failed trips on the first captured
 	// processing panic, panicErr holds it.
@@ -323,8 +322,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if n := len(cfg.ShardDeciders); n > 0 && n != cfg.Shards {
 		return nil, fmt.Errorf("runtime: ShardDeciders has %d entries for %d shards", n, cfg.Shards)
 	}
-	if cfg.StealThreshold == 0 {
-		cfg.StealThreshold = defaultStealThreshold
+	if cfg.stealThreshold == 0 {
+		cfg.stealThreshold = defaultStealThreshold
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 10 * time.Millisecond
@@ -407,6 +406,9 @@ func New(cfg Config) (*Pipeline, error) {
 		out:  make(chan operator.ComplexEvent, cfg.OutBuffer),
 	}
 	p.flowCond = sync.NewCond(&p.flowMu)
+	if cfg.Shards == 1 {
+		p.lanes = []*lane{&p.lane}
+	}
 	if cfg.Shards > 1 {
 		p.abort = make(chan struct{})
 		maxMatches := cfg.Operator.MaxMatchesPerWindow
@@ -445,6 +447,7 @@ func New(cfg Config) (*Pipeline, error) {
 			}
 			sh.batched, _ = dec.(operator.BatchingDecider)
 			p.shards = append(p.shards, sh)
+			p.lanes = append(p.lanes, &sh.lane)
 		}
 		// The partitioner owns the tracker manager; the operator above
 		// validated the full configuration and serves Shards==1 only.
@@ -582,9 +585,9 @@ func (p *Pipeline) Stats() Stats {
 	st := Stats{
 		Submitted:  p.submitted.Load(),
 		Processed:  p.processed.Load(),
-		QueueLen:   int(p.qlen.Load()),
+		QueueLen:   p.backlogEvents(p.kbar()),
 		InputRate:  loadFloat(&p.rateEst),
-		Throughput: loadFloat(&p.thEst),
+		Throughput: p.throughput(),
 	}
 	if p.lifecycle != nil {
 		ls := p.lifecycle.Stats()
@@ -598,26 +601,15 @@ func (p *Pipeline) Stats() Stats {
 	}
 	st.Operator.EventsProcessed = st.Processed
 	st.Shards = make([]ShardStats, len(p.shards))
-	queuedMembers := 0
 	for i, s := range p.shards {
 		ss := s.snapshot()
 		st.Shards[i] = ss
-		queuedMembers += ss.QueueLen
 		st.Operator.Memberships += ss.Memberships
 		st.Operator.MembershipsKept += ss.Kept
 		st.Operator.MembershipsShed += ss.Shed
 		st.Operator.WindowsClosed += ss.WindowsClosed
 		st.Operator.ComplexEvents += ss.ComplexEvents
 		st.Operator.WindowsWithMatch += ss.WindowsWithMatch
-	}
-	// Report the backlog in events, the unit the serial pipeline and the
-	// engine's shedding budget use: the shard queues count memberships,
-	// which overstate it by the windowing overlap factor.
-	st.QueueLen = queuedMembers
-	if st.Processed > 0 {
-		if kbar := float64(st.Operator.Memberships) / float64(st.Processed); kbar > 1 {
-			st.QueueLen = int(float64(queuedMembers)/kbar + 0.5)
-		}
 	}
 	return st
 }
@@ -661,18 +653,12 @@ func (p *Pipeline) startLifecycle() func() {
 	if p.lifecycle == nil {
 		return func() {}
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go p.lifecycle.run(stop, done)
-	return func() {
-		close(stop)
-		<-done
-	}
+	return background(p.lifecycle.run)
 }
 
 // Run processes events until the input is closed and drained, or the
-// context is canceled. It is a blocking call; the detector runs on an
-// internal goroutine for its duration.
+// context is canceled. It is a blocking call; the control loop and the
+// model lifecycle run on internal goroutines for its duration.
 func (p *Pipeline) Run(ctx context.Context) error {
 	p.mu.Lock()
 	if p.runCalled {
@@ -681,22 +667,12 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}
 	p.runCalled = true
 	p.mu.Unlock()
+	defer close(p.out)
+	defer p.startLifecycle()()
+	defer p.startControl()()
 	if len(p.shards) > 0 {
 		return p.runSharded(ctx)
 	}
-	defer close(p.out)
-	defer p.startLifecycle()()
-
-	detectorDone := make(chan struct{})
-	detectorStop := make(chan struct{})
-	if p.cfg.Detector != nil || p.cfg.EstimateRates {
-		go p.detectorLoop(detectorStop, detectorDone)
-		defer func() {
-			close(detectorStop)
-			<-detectorDone
-		}()
-	}
-
 	for {
 		select {
 		case <-ctx.Done():
@@ -827,65 +803,6 @@ func (p *Pipeline) flush(ctx context.Context) {
 	}
 }
 
-// detectorLoop estimates input rate and throughput over poll intervals
-// and forwards overload decisions to the controller.
-func (p *Pipeline) detectorLoop(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(p.cfg.PollInterval)
-	defer ticker.Stop()
-
-	var (
-		lastSubmitted uint64
-		lastKept      uint64
-		lastBusy      int64
-		lastTime      = time.Now()
-	)
-	const alpha = 0.3 // EWMA smoothing for rate and throughput estimates
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-ticker.C:
-			wall := now.Sub(lastTime).Seconds()
-			if wall <= 0 {
-				continue
-			}
-			lastTime = now
-
-			submitted := p.submitted.Load()
-			kept := p.kept.Load()
-			busy := p.busyNanos.Load()
-
-			rate := float64(submitted-lastSubmitted) / wall
-			storeEWMA(&p.rateEst, rate, alpha)
-
-			// Throughput must describe the *unshed* capacity in events/s:
-			// events per busy-second would inflate while shedding (shed
-			// memberships cost almost nothing), so measure the service
-			// rate per kept membership and divide by the cumulative
-			// memberships-per-event overlap factor.
-			memberships := p.memberships.Load()
-			processed := p.processed.Load()
-			if busyDelta := busy - lastBusy; busyDelta > 0 && kept > lastKept && processed > 0 {
-				kbar := float64(memberships) / float64(processed)
-				if kbar > 0 {
-					perKept := float64(kept-lastKept) / (float64(busyDelta) / 1e9)
-					storeEWMA(&p.thEst, perKept/kbar, alpha)
-				}
-			}
-			lastSubmitted, lastKept, lastBusy = submitted, kept, busy
-
-			th := loadFloat(&p.thEst)
-			if th <= 0 || p.cfg.Detector == nil {
-				continue
-			}
-			dec := p.cfg.Detector.Evaluate(int(p.qlen.Load()), loadFloat(&p.rateEst), th,
-				p.windowSizeEstimate())
-			p.cfg.Controller.OnDecision(dec)
-		}
-	}
-}
-
 // maxLatencySamples bounds the total recorded latency samples per
 // pipeline (~4 MiB across all traces); reaching it halves every trace
 // and doubles the sampling stride.
@@ -918,38 +835,4 @@ func (p *Pipeline) sampleLatency() bool {
 		}
 	}
 	return true
-}
-
-// windowSizeEstimate reads the operator's current expected window size.
-// The window manager itself is owned by the processing goroutine; its
-// ExpectedSize is a best-effort read used only as a shedding hint, and a
-// momentarily stale value merely shifts partition boundaries by a few
-// events. To stay strictly data-race free we cache the spec-derived size.
-func (p *Pipeline) windowSizeEstimate() int {
-	spec := p.cfg.Operator.Window
-	switch {
-	case spec.Count > 0:
-		return spec.Count
-	case spec.SizeHint > 0:
-		return spec.SizeHint
-	default:
-		return 1
-	}
-}
-
-func loadFloat(a *atomic.Uint64) float64 {
-	bits := a.Load()
-	if bits == 0 {
-		return 0
-	}
-	return floatFromBits(bits)
-}
-
-func storeEWMA(a *atomic.Uint64, sample, alpha float64) {
-	prev := loadFloat(a)
-	next := sample
-	if prev > 0 {
-		next = (1-alpha)*prev + alpha*sample
-	}
-	a.Store(floatToBits(next))
 }

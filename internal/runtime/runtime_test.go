@@ -126,56 +126,6 @@ func TestRunTwiceFails(t *testing.T) {
 	<-done
 }
 
-func TestPipelineShedsUnderOverload(t *testing.T) {
-	harness.VerifyNoLeaks(t)
-	// Artificial per-membership delay of 200µs caps throughput at
-	// ~5000 ev/s; submitting much faster builds the queue and must
-	// trigger shedding with a tight latency bound.
-	model := trainedTestModel(t)
-	shedder, err := core.NewShedder(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.NewOverloadDetector(core.DetectorConfig{
-		LatencyBound: 50 * event.Millisecond,
-		F:            0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Operator:        opConfig(shedder),
-		Detector:        det,
-		Controller:      shedController{shedder},
-		PollInterval:    2 * time.Millisecond,
-		ProcessingDelay: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- p.Run(context.Background()) }()
-	go func() {
-		for range p.Out() {
-		}
-	}()
-	// Submit 3000 events as fast as possible (≫ 5k ev/s).
-	for i := 0; i < 3000; i++ {
-		p.Submit(event.Event{Seq: uint64(i), Type: event.Type(i % 2)})
-	}
-	p.CloseInput()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Operator.MembershipsShed == 0 {
-		t.Error("overloaded pipeline must shed")
-	}
-	if st.Throughput <= 0 || st.InputRate <= 0 {
-		t.Errorf("estimates not populated: %+v", st)
-	}
-}
-
 // shedController wires detector decisions to a core shedder (the same
 // logic as harness.ESPICEController without the import cycle).
 type shedController struct{ s *core.Shedder }

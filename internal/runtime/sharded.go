@@ -57,15 +57,12 @@ type shard struct {
 	// lock-protected trace once per batch instead of once per sample.
 	latBuf []latSample
 
-	memberships      atomic.Uint64
-	kept             atomic.Uint64
+	lane             // the shard's control-loop counters
 	shed             atomic.Uint64
 	queued           atomic.Int64 // memberships staged but not yet processed
 	windowsClosed    atomic.Uint64
 	complexEvents    atomic.Uint64
 	windowsWithMatch atomic.Uint64
-	busyNanos        atomic.Int64
-	thEst            atomic.Uint64 // float64 bits
 
 	// Skew-aware scale-out state: occupancy is the partitioner's
 	// placement estimate (summed expected sizes of owned open windows,
@@ -84,8 +81,8 @@ type shard struct {
 type latSample struct{ ts, lat event.Time }
 
 // snapshot reads the shard counters. QueueLen reports the staged
-// memberships (not batches), matching the serial pipeline's event-based
-// backlog accounting up to the windowing overlap factor.
+// memberships (not batches); Pipeline.backlogEvents converts their sum
+// to events.
 func (s *shard) snapshot() ShardStats {
 	return ShardStats{
 		Memberships:      s.memberships.Load(),
@@ -326,11 +323,9 @@ func (s *shard) closeOwned(w *window.Window, now event.Time) []operator.ComplexE
 
 // runSharded is the Shards > 1 body of Run. The data path itself lives
 // in the submitters (partitioning) and the shards (window ownership);
-// Run only assembles the merge stage, the detector and the lifecycle,
-// then waits for the input to be sealed or the context to end.
+// it only assembles the merge stage, then waits for the input to be
+// sealed or the context to end.
 func (p *Pipeline) runSharded(ctx context.Context) error {
-	defer close(p.out)
-
 	merger := parallel.NewEpochMerger(4*len(p.shards), func(ces []operator.ComplexEvent) {
 		for _, ce := range ces {
 			select {
@@ -346,14 +341,6 @@ func (p *Pipeline) runSharded(ctx context.Context) error {
 		wg.Add(1)
 		go s.run(ctx, &wg)
 	}
-	stopLifecycle := p.startLifecycle()
-
-	var detectorStop, detectorDone chan struct{}
-	if p.cfg.Detector != nil || p.cfg.EstimateRates {
-		detectorStop = make(chan struct{})
-		detectorDone = make(chan struct{})
-		go p.shardedDetectorLoop(detectorStop, detectorDone)
-	}
 
 	var err error
 	select {
@@ -366,11 +353,6 @@ func (p *Pipeline) runSharded(ctx context.Context) error {
 	// the shards drain and exit; then no producer holds the merger.
 	wg.Wait()
 	merger.Close()
-	if detectorStop != nil {
-		close(detectorStop)
-		<-detectorDone
-	}
-	stopLifecycle()
 	if err == nil {
 		// A contained panic (in a shard or in the partitioner inline in
 		// a submitter) outranks a clean drain.
@@ -379,83 +361,4 @@ func (p *Pipeline) runSharded(ctx context.Context) error {
 		}
 	}
 	return err
-}
-
-// shardedDetectorLoop is the Shards > 1 counterpart of detectorLoop: the
-// input rate is estimated from the aggregate submitted counter, the
-// unshed capacity as the sum of per-shard service-rate estimates, and
-// one decision per tick is forwarded to the controller — commanding all
-// shedders in lockstep when the controller is a MultiController.
-func (p *Pipeline) shardedDetectorLoop(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(p.cfg.PollInterval)
-	defer ticker.Stop()
-
-	lastKept := make([]uint64, len(p.shards))
-	lastBusy := make([]int64, len(p.shards))
-	var lastSubmitted uint64
-	lastTime := time.Now()
-	const alpha = 0.3 // EWMA smoothing, as in the serial detector loop
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-ticker.C:
-			wall := now.Sub(lastTime).Seconds()
-			if wall <= 0 {
-				continue
-			}
-			lastTime = now
-
-			submitted := p.submitted.Load()
-			storeEWMA(&p.rateEst, float64(submitted-lastSubmitted)/wall, alpha)
-			lastSubmitted = submitted
-
-			// kbar is the global memberships-per-event overlap factor;
-			// see detectorLoop for why throughput is measured per kept
-			// membership and scaled by it.
-			var memberships uint64
-			for _, s := range p.shards {
-				memberships += s.memberships.Load()
-			}
-			kbar := 0.0
-			if processed := p.processed.Load(); processed > 0 {
-				kbar = float64(memberships) / float64(processed)
-			}
-
-			total := 0.0
-			for i, s := range p.shards {
-				kept := s.kept.Load()
-				busy := s.busyNanos.Load()
-				if busyDelta := busy - lastBusy[i]; busyDelta > 0 && kept > lastKept[i] && kbar > 0 {
-					perKept := float64(kept-lastKept[i]) / (float64(busyDelta) / 1e9)
-					storeEWMA(&s.thEst, perKept/kbar, alpha)
-				}
-				lastKept[i], lastBusy[i] = kept, busy
-				total += loadFloat(&s.thEst)
-			}
-			p.thEst.Store(floatToBits(total))
-			if total <= 0 || p.cfg.Detector == nil {
-				continue
-			}
-			dec := p.cfg.Detector.Evaluate(p.backlogEvents(kbar), loadFloat(&p.rateEst), total,
-				p.windowSizeEstimate())
-			p.cfg.Controller.OnDecision(dec)
-		}
-	}
-}
-
-// backlogEvents converts the shards' membership-denominated backlog into
-// events, the unit detectorLoop and the engine budget reason in: the
-// staged queue counts every (event, window) incidence, which overstates
-// the backlog by the windowing overlap factor kbar.
-func (p *Pipeline) backlogEvents(kbar float64) int {
-	var queued int64
-	for _, s := range p.shards {
-		queued += s.queued.Load()
-	}
-	if kbar > 1 {
-		return int(float64(queued)/kbar + 0.5)
-	}
-	return int(queued)
 }

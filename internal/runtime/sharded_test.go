@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/harness"
 	"repro/internal/operator"
@@ -71,43 +70,53 @@ func overlappingOpConfig() operator.Config {
 
 // TestShardedMatchesSerial asserts (a) that a 4-shard pipeline produces
 // exactly the serial pipeline's complex events, in the same order, on a
-// deterministic stream, and (b) that the merged output arrives in
-// window-close order. Run with -race to exercise the router/shard/merge
-// handoffs.
+// deterministic stream — with one match per window and with several —
+// and (b) that the merged output arrives in window-close order. Run with
+// -race to exercise the router/shard/merge handoffs.
 func TestShardedMatchesSerial(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	events := deterministicStream(2000)
-	serial, _ := runCollect(t, Config{Operator: overlappingOpConfig()}, events)
-	if len(serial) == 0 {
-		t.Fatal("serial run detected nothing; bad test setup")
-	}
-	for _, shards := range []int{2, 4} {
-		sharded, st := runCollect(t, Config{Operator: overlappingOpConfig(), Shards: shards}, events)
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("shards=%d: output differs from serial (%d vs %d complex events)",
-				shards, len(sharded), len(serial))
+	perWindow := map[int]int{} // maxMatches -> serial complex events
+	for _, maxMatches := range []int{1, 3} {
+		opCfg := overlappingOpConfig()
+		opCfg.MaxMatchesPerWindow = maxMatches
+		serial, _ := runCollect(t, Config{Operator: opCfg}, events)
+		if len(serial) == 0 {
+			t.Fatal("serial run detected nothing; bad test setup")
 		}
-		// Count windows of one fixed size close in open order, so
-		// window-close order means non-decreasing window IDs.
-		for i := 1; i < len(sharded); i++ {
-			if sharded[i].WindowID < sharded[i-1].WindowID {
-				t.Fatalf("shards=%d: complex event %d out of window-close order: %d after %d",
-					shards, i, sharded[i].WindowID, sharded[i-1].WindowID)
+		perWindow[maxMatches] = len(serial)
+		for _, shards := range []int{2, 4} {
+			sharded, st := runCollect(t, Config{Operator: opCfg, Shards: shards}, events)
+			if !reflect.DeepEqual(serial, sharded) {
+				t.Fatalf("shards=%d matches=%d: output differs from serial (%d vs %d complex events)",
+					shards, maxMatches, len(sharded), len(serial))
+			}
+			// Count windows of one fixed size close in open order, so
+			// window-close order means non-decreasing window IDs.
+			for i := 1; i < len(sharded); i++ {
+				if sharded[i].WindowID < sharded[i-1].WindowID {
+					t.Fatalf("shards=%d: complex event %d out of window-close order: %d after %d",
+						shards, i, sharded[i].WindowID, sharded[i-1].WindowID)
+				}
+			}
+			if len(st.Shards) != shards {
+				t.Fatalf("shards=%d: Stats has %d shard entries", shards, len(st.Shards))
+			}
+			var kept uint64
+			for _, ss := range st.Shards {
+				kept += ss.Kept
+			}
+			if kept != st.Operator.MembershipsKept || kept == 0 {
+				t.Errorf("shards=%d: per-shard kept %d != rollup %d", shards, kept, st.Operator.MembershipsKept)
+			}
+			if st.Processed != uint64(len(events)) {
+				t.Errorf("shards=%d: processed %d events, want %d", shards, st.Processed, len(events))
 			}
 		}
-		if len(st.Shards) != shards {
-			t.Fatalf("shards=%d: Stats has %d shard entries", shards, len(st.Shards))
-		}
-		var kept uint64
-		for _, ss := range st.Shards {
-			kept += ss.Kept
-		}
-		if kept != st.Operator.MembershipsKept || kept == 0 {
-			t.Errorf("shards=%d: per-shard kept %d != rollup %d", shards, kept, st.Operator.MembershipsKept)
-		}
-		if st.Processed != uint64(len(events)) {
-			t.Errorf("shards=%d: processed %d events, want %d", shards, st.Processed, len(events))
-		}
+	}
+	if perWindow[3] <= perWindow[1] {
+		t.Errorf("MaxMatchesPerWindow 3 detected %d complex events, no more than the %d of 1",
+			perWindow[3], perWindow[1])
 	}
 }
 
@@ -182,67 +191,6 @@ func TestSubmitBatchCountsOnce(t *testing.T) {
 	}
 	if st := p.Stats(); st.Submitted != 100 || st.Processed != 100 {
 		t.Errorf("stats after batches: %+v", st)
-	}
-}
-
-// TestShardedShedsUnderOverload is the sharded twin of
-// TestPipelineShedsUnderOverload: per-shard shedders commanded in
-// lockstep by the aggregate detector through a MultiController.
-func TestShardedShedsUnderOverload(t *testing.T) {
-	harness.VerifyNoLeaks(t)
-	const shards = 2
-	model := trainedTestModel(t)
-	deciders := make([]operator.Decider, shards)
-	ctrl := make(MultiController, shards)
-	for i := range deciders {
-		s, err := core.NewShedder(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deciders[i] = s
-		ctrl[i] = shedController{s}
-	}
-	det, err := core.NewOverloadDetector(core.DetectorConfig{
-		LatencyBound: 50 * event.Millisecond,
-		F:            0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Operator:        opConfig(nil),
-		Shards:          shards,
-		ShardDeciders:   deciders,
-		Detector:        det,
-		Controller:      ctrl,
-		PollInterval:    2 * time.Millisecond,
-		ProcessingDelay: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- p.Run(context.Background()) }()
-	go func() {
-		for range p.Out() {
-		}
-	}()
-	p.SubmitBatch(deterministicStream(3000))
-	p.CloseInput()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Operator.MembershipsShed == 0 {
-		t.Error("overloaded sharded pipeline must shed")
-	}
-	if st.Throughput <= 0 || st.InputRate <= 0 {
-		t.Errorf("estimates not populated: %+v", st)
-	}
-	for i, ss := range st.Shards {
-		if ss.Memberships == 0 {
-			t.Errorf("shard %d saw no memberships", i)
-		}
 	}
 }
 

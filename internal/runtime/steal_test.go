@@ -71,7 +71,7 @@ func stealTestConfig(shards, threshold int, delay time.Duration) Config {
 			Patterns: []*pattern.Compiled{p},
 		},
 		Shards:          shards,
-		StealThreshold:  threshold,
+		stealThreshold:  threshold,
 		ProcessingDelay: delay,
 	}
 }
@@ -167,7 +167,7 @@ func TestHotWindowNoStarvation(t *testing.T) {
 	}
 }
 
-// TestStealDisabled pins the opt-out: a negative StealThreshold turns
+// TestStealDisabled pins the opt-out: a negative stealThreshold turns
 // stealing off entirely — zero steals even under heavy skew — without
 // changing the output.
 func TestStealDisabled(t *testing.T) {
@@ -181,7 +181,7 @@ func TestStealDisabled(t *testing.T) {
 	}
 	for i, ss := range st.Shards {
 		if ss.Steals != 0 {
-			t.Errorf("shard %d: %d steals with StealThreshold < 0", i, ss.Steals)
+			t.Errorf("shard %d: %d steals with stealThreshold < 0", i, ss.Steals)
 		}
 	}
 }
