@@ -136,8 +136,8 @@ func runQueries(opts liveOpts, w io.Writer) (*queriesResult, error) {
 	done := make(chan error, 1)
 	go func() { done <- eng.Run(context.Background()) }()
 	// One drain goroutine per query: a sequential drain would stop
-	// reading the later queries' channels, and a query that fills its
-	// OutBuffer stalls its pipeline and backpressures the whole engine.
+	// reading the later queries' channels, and a query whose output
+	// channel fills stalls its pipeline and backpressures the whole engine.
 	detected := make(map[string][]operator.ComplexEvent, len(regs))
 	var detectedMu sync.Mutex
 	var drains sync.WaitGroup

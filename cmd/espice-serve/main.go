@@ -443,9 +443,9 @@ func (app *serveApp) run(ctx context.Context, ln net.Listener, w io.Writer) erro
 	} else {
 		go func() { runDone <- app.eng.Run(context.Background()) }()
 		// One collector per query: a sequential drain would stop reading
-		// the other queries' channels, and a query whose OutBuffer fills
-		// stalls its pipeline — which backpressures the whole engine and
-		// wedges ingestion.
+		// the other queries' channels, and a query whose output channel
+		// fills stalls its pipeline — which backpressures the whole engine
+		// and wedges ingestion.
 		var wg sync.WaitGroup
 		for _, h := range app.handles {
 			wg.Add(1)

@@ -21,8 +21,6 @@ type Stats struct {
 	// Skipped sums per-query filter rejections, deregistered queries
 	// included.
 	Skipped uint64
-	// QueueLen is the ingress backlog (fan-out not yet performed).
-	QueueLen int
 	// InputRate is the summed per-query delivered-rate estimate in
 	// events per second.
 	InputRate float64
@@ -68,7 +66,6 @@ type QueryStats struct {
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Submitted:  e.submitted.Load(),
-		QueueLen:   len(e.in),
 		Overloaded: e.overloaded.Load(),
 		DropRate:   math.Float64frombits(e.dropRate.Load()),
 	}
@@ -186,13 +183,13 @@ func (e *Engine) evaluateBudget(qs []*Query) {
 		queue int
 		ws    int
 	}
-	// totalQueue accumulates backlogs in events: the ingress queue plus
-	// each query's Stats().QueueLen, which serial and sharded pipelines
-	// alike report in events (runtime's backlogEvents), so they weigh
-	// equally here.
+	// totalQueue accumulates backlogs in events: each query's
+	// Stats().QueueLen, which serial and sharded pipelines alike report in
+	// events (runtime's backlogEvents), so they weigh equally here. The
+	// engine queues nothing itself.
 	var (
 		ms         []measured
-		totalQueue = len(e.in)
+		totalQueue int
 		rateSum    float64
 		thSum      float64
 	)

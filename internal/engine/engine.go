@@ -3,6 +3,11 @@
 // backed by its own runtime.Pipeline (optionally sharded), and a single
 // global shedding budget coordinates all per-query load shedders.
 //
+// The engine has no queue of its own: a submitted batch fans out on the
+// submitter's goroutine, as a batch, into the query pipelines' input
+// queues, so the only backlog is the one in front of an operator — the
+// one eSPICE sheds from (Section 3.4).
+//
 // The eSPICE paper sheds per-operator; real CEP middleware serves many
 // queries over the same input stream, and the deployable unit is the
 // middleware layer where cross-cutting concerns — admission, filtering,
@@ -43,18 +48,20 @@ import (
 	"repro/internal/runtime"
 )
 
-// ingressQueueCap bounds the engine ingress queue in events; Submit
-// blocks when it is full.
-const ingressQueueCap = 1 << 16
+const (
+	// queryQueueCap is every query pipeline's input queue capacity in
+	// events; a submit blocks while a query it delivers to is full.
+	queryQueueCap = 1 << 14
+	// outBuffer is every query's complex-event channel capacity.
+	outBuffer = 1024
+	// fanoutChunk bounds how many events of one submitted batch a query
+	// receives before the next query gets its turn, so a caller that
+	// submits a whole stream in one call still interleaves the queries.
+	fanoutChunk = 256
+)
 
 // Config assembles an engine.
 type Config struct {
-	// QueryQueueCap is the default per-query pipeline queue capacity
-	// (overridable per query). Default 1 << 14.
-	QueryQueueCap int
-	// OutBuffer is the per-query complex-event channel capacity.
-	// Default 1024.
-	OutBuffer int
 	// LatencyBound enables the global shedding budget: the end-to-end
 	// bound LB that detected complex events must meet across all queries.
 	// Zero disables the budget loop (no shedding).
@@ -107,8 +114,6 @@ type QueryConfig struct {
 	Weight float64
 	// Shards is the pipeline shard count (see runtime.Config.Shards).
 	Shards int
-	// QueueCap overrides Config.QueryQueueCap for this query.
-	QueueCap int
 	// ProcessingDelay is an artificial per-kept-membership cost, for
 	// benchmarks and overload demos (see runtime.Config).
 	ProcessingDelay time.Duration
@@ -132,8 +137,16 @@ type Engine struct {
 	cfg Config
 	det *core.OverloadDetector // nil when the budget is disabled
 
-	in        chan tenantEvent
 	submitted atomic.Uint64
+
+	// started is closed by Run once the registered pipelines run (a
+	// submit waits for it), inputClosed by CloseInput. fanMu serializes
+	// fan-outs — every query observes one total order of batches — and
+	// guards each Query.sendBuf.
+	started     chan struct{}
+	inputClosed chan struct{}
+	closeInput  sync.Once
+	fanMu       sync.Mutex
 
 	// tenants is the interning table for tenant identities; index 0 is
 	// the default tenant "". Records are append-only under tenMu.
@@ -152,23 +165,17 @@ type Engine struct {
 	dropRate   atomic.Uint64 // float64 bits: current global drop-rate target
 
 	// faults carries tripped queries from their pipelines' OnPanic to
-	// Run, which quarantines them between fan-out rounds.
+	// Run, which quarantines them.
 	faults chan *Query
 
-	// plainBuf is Run's reusable tenant-stripped mirror of the current
-	// fan-out batch (owned by the Run goroutine).
-	plainBuf []event.Event
-
 	mu            sync.RWMutex
-	queries       []*Query // registration order; read per event under RLock
+	queries       []*Query // registration order; read per fan-out under RLock
 	byName        map[string]*Query
 	quarantined   map[string]*QuarantineStats
 	restartTimers []*time.Timer
 	ctx           context.Context // set by Run
 	running       bool
-	runCalled     bool
 	closed        bool
-	inClosed      bool
 }
 
 // Query is one registered query: a handle to its pipeline, output
@@ -182,9 +189,9 @@ type Query struct {
 	filter  []bool // indexed by event.Type; nil accepts every type
 	tid     int32  // scoping tenant id; -1 = unscoped (all tenants)
 	shedder *core.Shedder
-	// sendBuf is the reusable fan-out staging buffer for this query; it
-	// is owned by the engine's Run goroutine (under the read lock) and
-	// safe to reuse because Pipeline.SubmitBatch copies.
+	// sendBuf is the reusable fan-out staging buffer for this query,
+	// guarded by Engine.fanMu and safe to reuse because
+	// Pipeline.SubmitBatch copies.
 	sendBuf []event.Event
 
 	out      chan operator.ComplexEvent
@@ -202,15 +209,6 @@ type Query struct {
 // New validates the configuration and builds an engine with no queries
 // registered yet.
 func New(cfg Config) (*Engine, error) {
-	if cfg.QueryQueueCap < 0 {
-		return nil, fmt.Errorf("engine: QueryQueueCap must be >= 0, got %d", cfg.QueryQueueCap)
-	}
-	if cfg.QueryQueueCap == 0 {
-		cfg.QueryQueueCap = 1 << 14
-	}
-	if cfg.OutBuffer == 0 {
-		cfg.OutBuffer = 1024
-	}
 	if cfg.F == 0 {
 		cfg.F = 0.8
 	}
@@ -219,7 +217,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:         cfg,
-		in:          make(chan tenantEvent, ingressQueueCap),
+		started:     make(chan struct{}),
+		inputClosed: make(chan struct{}),
 		byName:      make(map[string]*Query),
 		quarantined: make(map[string]*QuarantineStats),
 		faults:      make(chan *Query, 64),
@@ -301,10 +300,6 @@ func (e *Engine) Register(cfg QueryConfig) (*Query, error) {
 	if cfg.Weight < 0 {
 		return nil, fmt.Errorf("engine: query %s: Weight must be > 0, got %v", name, cfg.Weight)
 	}
-	queueCap := cfg.QueueCap
-	if queueCap == 0 {
-		queueCap = e.cfg.QueryQueueCap
-	}
 
 	rcfg := runtime.Config{
 		Operator: operator.Config{
@@ -314,8 +309,8 @@ func (e *Engine) Register(cfg QueryConfig) (*Query, error) {
 		},
 		EstimateRates:   true,
 		PollInterval:    e.cfg.PollInterval,
-		QueueCap:        queueCap,
-		OutBuffer:       e.cfg.OutBuffer,
+		QueueCap:        queryQueueCap,
+		OutBuffer:       outBuffer,
 		ProcessingDelay: cfg.ProcessingDelay,
 		Shards:          cfg.Shards,
 	}
@@ -323,7 +318,7 @@ func (e *Engine) Register(cfg QueryConfig) (*Query, error) {
 		name:     name,
 		cfg:      cfg,
 		tid:      -1,
-		out:      make(chan operator.ComplexEvent, e.cfg.OutBuffer),
+		out:      make(chan operator.ComplexEvent, outBuffer),
 		detached: make(chan struct{}),
 		runDone:  make(chan error, 1),
 	}
@@ -449,8 +444,8 @@ func (e *Engine) Deregister(name string) error {
 			break
 		}
 	}
-	// The routing table no longer lists q and fanOut holds the read lock
-	// across a whole delivery, so its counters are final: fold them into
+	// The routing table no longer lists q and a fan-out holds the read
+	// lock across a whole batch, so its counters are final: fold them into
 	// the retired totals to keep the engine-level sums monotonic.
 	e.retiredDelivered.Add(q.delivered.Load())
 	e.retiredSkipped.Add(q.skipped.Load())
@@ -460,48 +455,93 @@ func (e *Engine) Deregister(name string) error {
 	return q.shutdown()
 }
 
-// Submit enqueues one event for fan-out under the default tenant; it
-// blocks while the ingress queue is full. Must not be called after
-// CloseInput.
+// Submit fans one event out under the default tenant: a one-event
+// SubmitTenantBatch. Must not be called after CloseInput.
 func (e *Engine) Submit(ev event.Event) {
-	e.submitted.Add(1)
-	e.defaultTen.submitted.Add(1)
-	e.in <- tenantEvent{ev: ev}
+	one := [1]event.Event{ev}
+	e.SubmitTenantBatch("", one[:])
 }
 
-// SubmitBatch enqueues a batch of events in stream order under the
-// default tenant.
+// SubmitBatch fans a batch of events out in stream order under the
+// default tenant; see SubmitTenantBatch for what blocks and what a
+// return means. Must not be called after CloseInput.
 func (e *Engine) SubmitBatch(events []event.Event) {
 	e.SubmitTenantBatch("", events)
 }
 
-// CloseInput signals end of stream: Run fans out the backlog, closes
-// every query pipeline, waits for them to drain and returns.
-func (e *Engine) CloseInput() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.inClosed {
-		e.inClosed = true
-		close(e.in)
+// SubmitTenantBatch fans a batch of events out in stream order under a
+// tenant identity: tenant-scoped queries receive only their own
+// tenant's events, and the tenant's ingress rate is measured against
+// its quota by the budget loop. It implements transport.TenantSink;
+// the empty tenant is the default tenant (equivalent to SubmitBatch).
+//
+// The fan-out runs on the calling goroutine, fanoutChunk events at a
+// time to each query in turn (a sharded query's partitioner runs inline
+// in its submit). The call blocks until Run has started the pipelines —
+// a fan-out ahead of Run would fill an unstarted queue while holding the
+// read lock Run needs the write side of — while another submit is
+// fanning out, and while the queue of a query that accepts the batch is
+// full. It returns once every accepting query has taken the batch, so
+// the slice may be reused. Holding the read lock across the whole batch
+// means Deregister never observes a half-delivered one. Safe for
+// concurrent use: all queries see concurrent batches in the same order.
+// Must not be called after CloseInput.
+func (e *Engine) SubmitTenantBatch(tenant string, events []event.Event) {
+	rec := e.defaultTen
+	if tenant != "" {
+		rec = e.tenantRecFor(tenant)
 	}
+	e.submitted.Add(uint64(len(events)))
+	rec.submitted.Add(uint64(len(events)))
+	<-e.started
+	e.fanMu.Lock()
+	defer e.fanMu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return // the pipelines' inputs are sealed
+	}
+	for len(events) > 0 {
+		chunk := events[:min(len(events), fanoutChunk)]
+		events = events[len(chunk):]
+		for _, q := range e.queries {
+			if e.ctx.Err() != nil {
+				return // pipelines are shutting down; stop delivering
+			}
+			// A tripped pipeline awaiting quarantine would drain the
+			// submit unprocessed, so skip the staging work.
+			if !q.pipe.Failed() {
+				deliver(q, rec.id, chunk)
+			}
+		}
+	}
+}
+
+// CloseInput signals end of stream: Run waits out a fan-out in flight,
+// closes every query pipeline, waits for them to drain and returns.
+// Every submit must have returned before CloseInput is called.
+func (e *Engine) CloseInput() {
+	e.closeInput.Do(func() { close(e.inputClosed) })
 }
 
 // Run drives the engine until the input is closed and every query
 // pipeline has drained, or the context is canceled. Blocking; the
-// budget loop runs on an internal goroutine for its duration.
+// budget loop runs on an internal goroutine for its duration. Run moves
+// no events — submitters fan out on their own goroutines — it starts
+// the pipelines, quarantines tripped queries and tears down.
 func (e *Engine) Run(ctx context.Context) error {
 	e.mu.Lock()
-	if e.runCalled {
+	if e.running {
 		e.mu.Unlock()
 		return fmt.Errorf("engine: Run called twice")
 	}
-	e.runCalled = true
 	e.ctx = ctx
 	e.running = true
 	for _, q := range e.queries {
 		e.startQueryLocked(q)
 	}
 	e.mu.Unlock()
+	close(e.started)
 
 	if e.det != nil {
 		stop := make(chan struct{})
@@ -513,11 +553,6 @@ func (e *Engine) Run(ctx context.Context) error {
 		}()
 	}
 
-	// The fan-out drains the ingress queue opportunistically into a
-	// batch, so per-query delivery amortizes filtering, counter updates
-	// and the pipeline submit over many events when traffic is dense,
-	// while a lone event still flows through immediately.
-	batch := make([]tenantEvent, 0, fanoutChunk)
 	for {
 		select {
 		case <-ctx.Done():
@@ -525,103 +560,45 @@ func (e *Engine) Run(ctx context.Context) error {
 			return ctx.Err()
 		case q := <-e.faults:
 			e.quarantine(q)
-		case ev, ok := <-e.in:
-			if !ok {
-				return e.shutdownQueries()
-			}
-			batch = append(batch[:0], ev)
-			closed := false
-		drain:
-			for len(batch) < fanoutChunk {
-				select {
-				case ev2, ok2 := <-e.in:
-					if !ok2 {
-						closed = true
-						break drain
-					}
-					batch = append(batch, ev2)
-				default:
-					break drain
-				}
-			}
-			e.fanOut(ctx, batch)
-			if closed {
-				return e.shutdownQueries()
-			}
+		case <-e.inputClosed:
+			return e.shutdownQueries()
 		}
 	}
 }
 
-// fanoutChunk bounds how many queued ingress events one fan-out round
-// delivers per query.
-const fanoutChunk = 256
-
-// fanOut delivers a batch of events to every registered query whose
-// tenant scope and filter accept them, one pipeline submit per query.
-// For a sharded query pipeline that submit runs the partitioner inline,
-// so the fan-out goroutine streams partition-aware op batches straight
-// to the query's shards with no router hop in between. Holding the
-// read lock across the (possibly blocking) per-query submits means
-// Deregister cannot observe a half-delivered batch: once it acquires the
-// write lock, no delivery to the removed query is in flight.
-func (e *Engine) fanOut(ctx context.Context, events []tenantEvent) {
-	// Mirror the batch into a plain event slice once per round so
-	// unscoped wildcard queries keep their staging-free submit.
-	plain := e.plainBuf[:0]
-	for _, te := range events {
-		plain = append(plain, te.ev)
-	}
-	e.plainBuf = plain
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, q := range e.queries {
-		if ctx.Err() != nil {
-			return // pipelines are shutting down; stop delivering
-		}
-		if q.pipe.Failed() {
-			// Tripped but not yet quarantined (Run picks the fault up
-			// between rounds); the pipeline would drain the submit
-			// unprocessed, so skip the staging work.
-			continue
-		}
-		e.deliver(q, events, plain)
-	}
-}
-
-// deliver submits one batch to one query under the fan-out panic guard:
-// a sharded pipeline runs the partitioner inline in SubmitBatch, so a
-// panic in the windowing policy (or a close hook it invokes) unwinds
-// into this goroutine. The guard attributes it to the query's pipeline
-// — tripping it and firing the quarantine path — instead of killing the
-// engine; the partitioner's own defer has already released its mutex.
-// plain mirrors events without tenant tags; a tenant-scoped query
-// admits only its own tenant's events (foreign ones count as skipped,
-// exactly like a type-filter rejection).
-func (e *Engine) deliver(q *Query, events []tenantEvent, plain []event.Event) {
+// deliver submits one chunk, all of tenant tid, to one query — the one
+// place a batch is matched against a query's tenant scope and type
+// filter. A tenant-scoped query skips a foreign tenant's chunk whole
+// (counted as skipped, like a type-filter rejection); a query without a
+// filter gets the caller's slice directly, since SubmitBatch copies; a
+// filtered query gets the accepted events staged in sendBuf.
+//
+// It runs under the fan-out panic guard: a sharded pipeline runs the
+// partitioner inline in SubmitBatch, so a panic in the windowing policy
+// (or a close hook it invokes) unwinds into this goroutine. The guard
+// attributes it to the query's pipeline — tripping it and firing the
+// quarantine path — instead of killing the submitter; the partitioner's
+// own defer has already released its mutex.
+func deliver(q *Query, tid int32, events []event.Event) {
 	defer recoverDeliver(q)
-	if q.filter == nil && q.tid < 0 {
-		// Unscoped wildcard query: SubmitBatch copies, so the batch
-		// goes in directly without a staging copy.
-		q.delivered.Add(uint64(len(plain)))
-		q.pipe.SubmitBatch(plain)
+	if q.tid >= 0 && q.tid != tid {
+		q.skipped.Add(uint64(len(events)))
 		return
 	}
-	buf := q.sendBuf[:0]
-	var skipped uint64
-	for _, te := range events {
-		if (q.tid < 0 || te.tid == q.tid) && q.Accepts(te.ev.Type) {
-			buf = append(buf, te.ev)
-		} else {
-			skipped++
+	if q.filter != nil {
+		buf := q.sendBuf[:0]
+		for _, ev := range events {
+			if q.Accepts(ev.Type) {
+				buf = append(buf, ev)
+			}
 		}
+		q.sendBuf = buf
+		q.skipped.Add(uint64(len(events) - len(buf)))
+		events = buf
 	}
-	q.sendBuf = buf
-	if skipped > 0 {
-		q.skipped.Add(skipped)
-	}
-	if len(buf) > 0 {
-		q.delivered.Add(uint64(len(buf)))
-		q.pipe.SubmitBatch(buf)
+	if len(events) > 0 {
+		q.delivered.Add(uint64(len(events)))
+		q.pipe.SubmitBatch(events)
 	}
 }
 
@@ -633,7 +610,8 @@ func recoverDeliver(q *Query) {
 }
 
 // shutdownQueries closes every remaining query pipeline and waits for
-// them; further Register calls fail.
+// them; further Register calls fail. The write lock waits out a fan-out
+// in flight; a later one sees closed and delivers nothing.
 func (e *Engine) shutdownQueries() error {
 	e.mu.Lock()
 	e.closed = true

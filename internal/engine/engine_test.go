@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -514,5 +515,135 @@ func TestQueryLifecycleComesOnline(t *testing.T) {
 	}
 	if st := plainQ.Pipeline().Stats(); st.Lifecycle != nil {
 		t.Error("plain query unexpectedly carries lifecycle stats")
+	}
+}
+
+// TestSubmitBeforeRun pins the start gate: a submit that gets ahead of
+// Run — with more events than a query's queue holds — must wait for the
+// pipelines to start instead of filling an unstarted queue under the
+// read lock Run's write lock would then wait on forever.
+func TestSubmitBeforeRun(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	events := syntheticStream(20000)
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Register(QueryConfig{Query: pairQuery(t, 0), Shards: 2, DisableFilter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := collectOut(q)
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		e.SubmitBatch(events)
+	}()
+	// The batch is counted before the gate, so this waits for the submit
+	// to be under way, not for a guessed amount of time.
+	for e.Stats().Submitted != uint64(len(events)) {
+		stdruntime.Gosched()
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Run(context.Background()) }()
+	deadline := time.After(30 * time.Second)
+	select {
+	case <-submitted:
+	case <-deadline:
+		t.Fatal("submit started before Run never returned")
+	}
+	e.CloseInput()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-deadline:
+		t.Fatal("Run never returned")
+	}
+	got := fetch()
+	want := runStandalone(t, pairQuery(t, 0), events)
+	if len(want) == 0 {
+		t.Fatal("standalone run detected nothing; test is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine output (%d) differs from standalone (%d)", len(got), len(want))
+	}
+}
+
+// TestFanoutTotalOrder pins what the fan-out mutex is for: with two
+// concurrent submitters, every query sees the batches in the same order
+// and every event exactly once.
+func TestFanoutTotalOrder(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const (
+		batch       = 64
+		perProducer = 64 * batch
+	)
+	e, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tumbling count windows partition the stream, so the close hook
+	// (run by the query's serial pipeline, in window order) sees every
+	// processed event once, in processing order.
+	seen := make([][]uint64, 2)
+	for i := range seen {
+		q := pairQuery(t, 0)
+		q.Window = window.Spec{Mode: window.ModeCount, Count: batch, Slide: batch}
+		h, err := e.Register(QueryConfig{
+			Query:         q,
+			Name:          fmt.Sprintf("order%d", i),
+			DisableFilter: true,
+			OnWindowClose: func(w *window.Window, _ []window.Entry) {
+				for _, en := range w.Kept {
+					seen[i] = append(seen[i], en.Ev.Seq)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for range h.Out() {
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Run(context.Background()) }()
+
+	stream := syntheticStream(2 * perProducer)
+	var wg sync.WaitGroup
+	for p, submit := range []func([]event.Event){
+		func(b []event.Event) { e.SubmitTenantBatch("alpha", b) },
+		e.SubmitBatch,
+	} {
+		own := stream[p*perProducer : (p+1)*perProducer]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for off := 0; off < len(own); off += batch {
+				submit(own[off : off+batch])
+			}
+		}()
+	}
+	wg.Wait()
+	e.CloseInput()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	if !reflect.DeepEqual(seen[0], seen[1]) {
+		t.Fatalf("queries processed different orders (%d vs %d events)", len(seen[0]), len(seen[1]))
+	}
+	if len(seen[0]) != len(stream) {
+		t.Fatalf("query processed %d events, want %d", len(seen[0]), len(stream))
+	}
+	once := make([]bool, len(stream))
+	for _, seq := range seen[0] {
+		if once[seq] {
+			t.Fatalf("event %d processed twice", seq)
+		}
+		once[seq] = true
 	}
 }

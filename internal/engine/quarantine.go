@@ -5,13 +5,13 @@
 // The runtime layer (runtime/guard.go) turns the panic into a tripped
 // pipeline that drains without processing, and fires Config.OnPanic
 // from the panicking goroutine. The engine registers an OnPanic that
-// enqueues the query on a fault channel; Run picks it up between
-// fan-out rounds and quarantines it: the query is removed from the
-// routing table (an auto-Deregister), its pipeline is drained and shut
-// down, and the panic — stack, count, time — is recorded in Stats().
-// Every other query keeps its event stream intact: fan-out holds the
-// read lock across a delivery round, so no sibling ever observes a
-// half-delivered batch around a quarantine.
+// enqueues the query on a fault channel; Run picks it up and
+// quarantines it: the query is removed from the routing table (an
+// auto-Deregister), its pipeline is drained and shut down, and the
+// panic — stack, count, time — is recorded in Stats(). Every other
+// query keeps its event stream intact: a fan-out holds the read lock
+// across a whole batch, so no sibling ever observes a half-delivered
+// batch around a quarantine.
 //
 // With Config.RestartCooldown set, a circuit breaker re-Registers the
 // quarantined query from its original QueryConfig after the cool-down
@@ -66,7 +66,8 @@ func (e *Engine) noteFault(q *Query) {
 
 // quarantine removes a tripped query from the routing table, shuts its
 // pipeline down, records the panic and (optionally) arms the restart
-// breaker. Runs on the engine's Run goroutine, between fan-out rounds.
+// breaker. Runs on the engine's Run goroutine; the write lock waits out
+// a fan-out in flight.
 func (e *Engine) quarantine(q *Query) {
 	pe := q.pipe.PanicError()
 

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/event"
 )
 
 // TenantQuota is one tenant's engine-side policy: the ingress rate it
@@ -51,13 +49,6 @@ type TenantStats struct {
 	Kept          uint64
 	Shed          uint64
 	ComplexEvents uint64
-}
-
-// tenantEvent is one ingress queue slot: the event plus the interned
-// id of the tenant that submitted it (0 = default tenant).
-type tenantEvent struct {
-	ev  event.Event
-	tid int32
 }
 
 // tenantRec is one tenant's engine-side record. submitted is written
@@ -134,23 +125,6 @@ func (e *Engine) SetTenantQuota(name string, q TenantQuota) {
 	rec.mu.Lock()
 	rec.quota = q
 	rec.mu.Unlock()
-}
-
-// SubmitTenantBatch enqueues a batch of events in stream order under a
-// tenant identity: tenant-scoped queries receive only their own
-// tenant's events, and the tenant's ingress rate is measured against
-// its quota by the budget loop. It implements transport.TenantSink;
-// the empty tenant is the default tenant (equivalent to SubmitBatch).
-func (e *Engine) SubmitTenantBatch(tenant string, events []event.Event) {
-	rec := e.defaultTen
-	if tenant != "" {
-		rec = e.tenantRecFor(tenant)
-	}
-	for _, ev := range events {
-		e.submitted.Add(1)
-		rec.submitted.Add(1)
-		e.in <- tenantEvent{ev: ev, tid: rec.id}
-	}
 }
 
 // tenantMeasure is one tenant group's input to the tenant-level budget

@@ -78,7 +78,13 @@ func TestTenantScopedDelivery(t *testing.T) {
 			if bend > len(beta) {
 				bend = len(beta)
 			}
+			// One tenant check per batch: a foreign tenant's batch is
+			// skipped whole, and by the time the submit returns.
+			before := scoped.skipped.Load()
 			e.SubmitTenantBatch("beta", beta[i:bend])
+			if got := scoped.skipped.Load() - before; got != uint64(bend-i) {
+				t.Errorf("foreign batch of %d events counted %d skipped", bend-i, got)
+			}
 		}
 	}
 	e.CloseInput()

@@ -235,7 +235,7 @@ func runEngine(t *testing.T, meta *datasets.RTLSMeta, qs []queries.Query, events
 	done := make(chan error, 1)
 	go func() { done <- eng.Run(context.Background()) }()
 	// One drain goroutine per query: a sequential drain stops reading
-	// the later queries' channels, and once one fills past OutBuffer its
+	// the later queries' channels, and once one's output channel fills its
 	// pipeline backpressures the whole engine (see cmd/espice-serve).
 	detected := make(map[string][]operator.ComplexEvent)
 	var detectedMu sync.Mutex

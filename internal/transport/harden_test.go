@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +47,72 @@ func TestServerIdleEviction(t *testing.T) {
 	}
 	if st := srv.Stats(); st.ConnsActive != 0 {
 		t.Errorf("evicted connection still active: %+v", st)
+	}
+}
+
+// stalledConn is a peer that sends a script and, after taking the first
+// free writes, stops reading: a further Write blocks until the deadline
+// the handler armed, like a socket whose send buffer stays full. A Write
+// with no deadline armed would block forever; it fails instead, so the
+// test cannot hang on it.
+type stalledConn struct {
+	net.Conn
+	script   *bytes.Reader
+	free     int
+	deadline time.Time
+}
+
+func (c *stalledConn) Read(p []byte) (int, error)         { return c.script.Read(p) }
+func (c *stalledConn) SetReadDeadline(time.Time) error    { return nil }
+func (c *stalledConn) SetWriteDeadline(t time.Time) error { c.deadline = t; return nil }
+func (c *stalledConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
+func (c *stalledConn) Write(p []byte) (int, error) {
+	if c.free > 0 {
+		c.free--
+		return len(p), nil
+	}
+	if c.deadline.IsZero() {
+		return 0, errors.New("write to a stalled peer without a deadline")
+	}
+	time.Sleep(time.Until(c.deadline))
+	return 0, os.ErrDeadlineExceeded
+}
+
+// TestServerWriteTimeout pins the WriteTimeout guard on every kind of
+// handler write: a peer that stops reading costs its handler one
+// timeout, counted in the taxonomy, and the handler returns.
+func TestServerWriteTimeout(t *testing.T) {
+	var enc Encoder
+	binary := append([]byte{Magic, ProtocolVersion},
+		AppendFrame(nil, FrameEvents, enc.AppendEvents(nil, genEvents(4)))...)
+	for _, tc := range []struct {
+		name   string
+		script []byte
+		free   int // writes the peer still takes
+		sunk   int // events that reach the sink before the stalled write
+	}{
+		{"binary ack", binary, 1, 4}, // the initial credit grant gets through
+		{"binary error frame", []byte{Magic, 99}, 0, 0},
+		{"ndjson status line", []byte("{\"token\":\"t\"}\n"), 0, 0},
+		{"ndjson error line", []byte("not json\n"), 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &collectSink{}
+			srv, err := NewServer(ServerConfig{Sink: sink, WriteTimeout: 10 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := &stalledConn{script: bytes.NewReader(tc.script), free: tc.free}
+			if err := srv.handle(conn); err != nil {
+				t.Errorf("handler returned %v, want a dropped connection", err)
+			}
+			if got := srv.Stats().WriteTimeouts; got != 1 {
+				t.Errorf("WriteTimeouts = %d, want 1", got)
+			}
+			if got := len(sink.snapshot()); got != tc.sunk {
+				t.Errorf("sink holds %d events, want %d", got, tc.sunk)
+			}
+		})
 	}
 }
 

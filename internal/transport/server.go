@@ -458,7 +458,8 @@ func (s *Server) capDeadline(d time.Time) time.Time {
 }
 
 // write sends one buffer under the configured write deadline, counting
-// deadline expiries in the taxonomy. All handler writes go through it.
+// deadline expiries in the taxonomy. All handler writes go through it:
+// binary replies, protocol-error frames and NDJSON reply lines.
 func (s *Server) write(conn net.Conn, p []byte) error {
 	var d time.Time
 	if s.cfg.WriteTimeout > 0 {
@@ -729,7 +730,13 @@ func (s *Server) protoError(conn net.Conn, err error) {
 	s.protoErrs.Add(1)
 	s.logf("transport: %s: %v", conn.RemoteAddr(), err)
 	// Best-effort error frame; the peer may already be gone.
-	_, _ = conn.Write(AppendFrame(nil, FrameError, []byte(err.Error())))
+	_ = s.write(conn, AppendFrame(nil, FrameError, []byte(err.Error())))
+}
+
+// ndjsonError reports an error line to an NDJSON producer, best effort:
+// every caller drops the connection next, whether or not it arrived.
+func (s *Server) ndjsonError(conn net.Conn, msg string) {
+	_ = s.write(conn, fmt.Appendf(nil, "{\"error\":%q}\n", msg))
 }
 
 // runReadSize is the binary handler's read size and so the byte bound of
@@ -875,7 +882,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 	ten, aerr := s.resolveTenant(nil)
 	if aerr != nil {
 		s.protoErrs.Add(1)
-		fmt.Fprintf(conn, "{\"error\":%q}\n", aerr.Error())
+		s.ndjsonError(conn, aerr.Error())
 		return nil
 	}
 	tenantOpen(ten)
@@ -883,15 +890,17 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 	connDegraded := false
 	if s.cfg.Journal != nil && s.degraded() {
 		connDegraded = true
-		fmt.Fprintf(conn, "{\"status\":%q}\n", "degraded")
+		if s.write(conn, []byte("{\"status\":\"degraded\"}\n")) != nil {
+			return nil
+		}
 	}
 	const maxBatch = 256
 	batch := make([]event.Event, 0, maxBatch)
 	var enc Encoder
 	var jbuf []byte
 	// flush journals (when configured) and submits the batch; a false
-	// return means the journal refused the batch — the connection must
-	// drop unacknowledged.
+	// return means the connection must drop: the journal refused the
+	// batch (unacknowledged), or the producer did not take a status line.
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -913,7 +922,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 				nowDegraded = true
 			default:
 				s.logf("transport: %s: %v", conn.RemoteAddr(), jerr)
-				fmt.Fprintf(conn, "{\"error\":%q}\n", jerr.Error())
+				s.ndjsonError(conn, jerr.Error())
 				return false
 			}
 		}
@@ -930,7 +939,9 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 			if connDegraded {
 				status = "degraded"
 			}
-			fmt.Fprintf(conn, "{\"status\":%q}\n", status)
+			if s.write(conn, fmt.Appendf(nil, "{\"status\":%q}\n", status)) != nil {
+				return false
+			}
 		}
 		// Rate-limit by stalling the read loop: the producer blocks in
 		// TCP flow control once the socket buffers fill.
@@ -946,7 +957,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 			flush()
 			s.protoErrs.Add(1)
 			s.logf("transport: %s: ndjson line exceeds %d bytes", conn.RemoteAddr(), s.cfg.MaxFrame)
-			fmt.Fprintf(conn, "{\"error\":%q}\n", "line too long")
+			s.ndjsonError(conn, "line too long")
 			return nil
 		}
 		if trimmed := trimLine(line); len(trimmed) > 0 {
@@ -955,7 +966,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 				nt, terr := s.resolveTenant(token)
 				if terr != nil {
 					s.protoErrs.Add(1)
-					fmt.Fprintf(conn, "{\"error\":%q}\n", terr.Error())
+					s.ndjsonError(conn, terr.Error())
 					return nil
 				}
 				// Rebind the connection count from the anonymous tenant
@@ -967,7 +978,9 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 				if ten != nil {
 					name = ten.name
 				}
-				fmt.Fprintf(conn, "{\"status\":\"ok\",\"tenant\":%q}\n", name)
+				if s.write(conn, fmt.Appendf(nil, "{\"status\":\"ok\",\"tenant\":%q}\n", name)) != nil {
+					return nil
+				}
 				continue
 			}
 			firstLine = false
@@ -976,7 +989,7 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 				flush()
 				s.protoErrs.Add(1)
 				s.logf("transport: %s: %v", conn.RemoteAddr(), perr)
-				fmt.Fprintf(conn, "{\"error\":%q}\n", perr.Error())
+				s.ndjsonError(conn, perr.Error())
 				return nil
 			}
 			batch = append(batch, ev)
