@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/event"
@@ -60,4 +61,52 @@ func BenchmarkServerDurableIngest(b *testing.B) {
 	st := log.Stats()
 	b.ReportMetric(float64(per)*float64(b.N)/b.Elapsed().Seconds(), "ev/s")
 	b.ReportMetric(float64(st.Appends)/float64(st.Syncs), "frames/sync")
+}
+
+// BenchmarkClientSubmit drives one plain client over loopback into a
+// server with a discard sink, one frame of per events per op, as fast
+// as the credit window allows: ns/event is the producer's cost of
+// getting an event to the wire, frames/write how many frames each
+// socket write carried (1.0 means every frame paid for its own
+// syscall). The client's steady state allocates nothing; what allocs/op
+// shows is the server in the same process detaching one Vals slab per
+// run (0 at frame=8, where a run spans many ops).
+func BenchmarkClientSubmit(b *testing.B) {
+	for _, per := range []int{8, 256} {
+		b.Run(fmt.Sprintf("frame=%d", per), func(b *testing.B) {
+			srv := startServer(b, ServerConfig{Sink: discardSink{}})
+			c, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: per})
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := genEvents(per)
+			// Warm-up: let the frame and queue buffers reach their size.
+			for i := 0; i < 64; i++ {
+				if err := c.SubmitBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			warm := c.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.SubmitBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			st := c.Stats()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per)/float64(b.N), "ns/event")
+			b.ReportMetric(float64(st.Flushes-warm.Flushes)/float64(st.Writes-warm.Writes), "frames/write")
+			if _, err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

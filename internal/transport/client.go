@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/event"
@@ -16,17 +18,18 @@ import (
 type ClientConfig struct {
 	// Addr is the server address (required), e.g. "127.0.0.1:7071".
 	Addr string
-	// BatchEvents is the flush threshold: Submit buffers events and
-	// flushes a FrameEvents once this many are pending (or on an
-	// explicit Flush/Close). Default DefaultBatchEvents.
+	// BatchEvents is the framing threshold: Submit buffers events and
+	// queues a FrameEvents on the connection's writer once this many are
+	// pending (or on an explicit Flush/Close). Default DefaultBatchEvents.
 	BatchEvents int
 	// DialTimeout bounds each dial attempt (default 5s).
 	DialTimeout time.Duration
 	// Reconnect enables transparent redialing: when a write or read
 	// fails mid-stream, the client redials (with exponential backoff up
 	// to MaxRedials attempts) and keeps going. Events already written to
-	// the broken connection may be lost — the transport is at-most-once
-	// across reconnects; ClientStats reports both sides of the ledger.
+	// the broken connection, or still queued on its writer, may be lost —
+	// the transport is at-most-once across reconnects; ClientStats
+	// reports both sides of the ledger.
 	Reconnect bool
 	// MaxRedials bounds consecutive failed dial attempts before the
 	// client gives up with ErrRedialsExhausted (default 5; only
@@ -69,20 +72,24 @@ var ErrRedialsExhausted = errors.New("transport: redials exhausted")
 
 // ClientStats counts the client's view of the stream.
 type ClientStats struct {
-	// Sent counts unique events handed to the wire (retransmits of the
-	// same batch are not re-counted). Accepted is the other side of the
-	// ledger: without a session it is the server's count from the final
-	// FrameDone — the whole stream when no redial happened, otherwise
-	// only the final connection's share (frames in flight across a
-	// reconnect are lost; plain transport is at-most-once). On a
-	// durable session it counts events in server-acknowledged batches,
-	// and Close returning nil implies Sent == Accepted.
+	// Sent counts unique events framed and queued for the wire
+	// (retransmits of the same batch are not re-counted). Accepted is the
+	// other side of the ledger: without a session it is the server's
+	// count from the final FrameDone — the whole stream when no redial
+	// happened, otherwise only the final connection's share (frames
+	// queued or in flight across a reconnect are lost; plain transport
+	// is at-most-once). On a durable session it counts events in
+	// server-acknowledged batches, and Close returning nil implies
+	// Sent == Accepted.
 	Sent     uint64
 	Accepted uint64
-	// Flushes counts event frames written; Redials counts successful
-	// reconnections; Retransmits counts batches re-sent after a
-	// reconnect on a durable session.
+	// Flushes counts event frames queued for the wire; Writes counts the
+	// socket writes that carried them (and the handshake and control
+	// frames), so Flushes ÷ Writes is the coalescing factor. Redials
+	// counts successful reconnections; Retransmits counts batches re-sent
+	// after a reconnect on a durable session.
 	Flushes     uint64
+	Writes      uint64
 	Redials     uint64
 	Retransmits uint64
 	// DegradedAcks counts server acks carrying FlagDegraded: batches
@@ -95,13 +102,17 @@ type ClientStats struct {
 	CreditWait time.Duration
 }
 
-// Client is a batching, credit-aware binary-mode producer. It is
-// single-goroutine by design: credit frames are read exactly when the
-// window is exhausted, so no background reader is needed. A Client is
-// not safe for concurrent use.
+// Client is a batching, credit-aware binary-mode producer. All reads
+// happen on the caller's goroutine: credit frames are read exactly when
+// the window is exhausted, so no background reader is needed. All
+// writes happen on the connection's connWriter, which sends whatever
+// frames have been queued since its last write as one write. A Client
+// is not safe for concurrent use.
 type Client struct {
 	cfg     ClientConfig
-	conn    net.Conn
+	conn    net.Conn    // read side; nil while connectionless
+	w       *connWriter // write side of conn
+	writes  atomic.Uint64
 	scan    *frameScanner
 	enc     Encoder
 	pending []event.Event
@@ -130,6 +141,109 @@ type outBatch struct {
 	frame []byte // FrameEventsSeq payload: uvarint seq ‖ encoded events
 }
 
+// maxBuffered bounds the bytes queued on a connection's writer: above
+// it the producer blocks until a write lands. A full queue is one server
+// read; a single frame larger than the bound is admitted when the queue
+// is empty.
+const maxBuffered = runReadSize
+
+// connWriter is the write side of one client connection. The producer
+// appends whole encoded frames to buf and returns; the writer goroutine
+// swaps buf against its spare and sends everything queued since its
+// last write with one conn.Write. While a write is in the kernel the
+// producer keeps encoding and queueing, so under load many small frames
+// share one syscall, and a lone frame leaves as soon as the writer is
+// scheduled — the writer is clocked by its own writes, never by a timer.
+type connWriter struct {
+	conn   net.Conn
+	writes *atomic.Uint64 // Client.writes
+	done   chan struct{}  // closed when run has returned
+
+	mu      sync.Mutex
+	cond    sync.Cond // every change of the fields below
+	buf     []byte    // frames queued since the last swap
+	writing bool      // a swapped-out buffer is in conn.Write
+	stopped bool
+	err     error // first write failure; run has closed conn and exited
+}
+
+func startConnWriter(conn net.Conn, writes *atomic.Uint64) *connWriter {
+	w := &connWriter{conn: conn, writes: writes, done: make(chan struct{})}
+	w.cond.L = &w.mu
+	go w.run()
+	return w
+}
+
+func (w *connWriter) run() {
+	defer close(w.done)
+	var out []byte
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil {
+		for len(w.buf) == 0 && !w.stopped {
+			w.cond.Wait()
+		}
+		if w.stopped {
+			return
+		}
+		out, w.buf = w.buf, out[:0]
+		w.writing = true
+		w.cond.Broadcast() // the queue has room again
+		w.mu.Unlock()
+		_, err := w.conn.Write(out)
+		w.writes.Add(1)
+		w.mu.Lock()
+		w.writing = false
+		if err != nil {
+			// Closing the connection wakes a producer blocked reading
+			// credit; it redials (or fails) on the read error.
+			w.err = err
+			w.conn.Close()
+		}
+		w.cond.Broadcast()
+	}
+}
+
+// write queues one frame (or the preface) behind everything queued
+// before it, blocking while the queue is at its bound. It reports the
+// writer's failure, if any; nil means queued, not written.
+func (w *connWriter) write(frame []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil && len(w.buf) > 0 && len(w.buf)+len(frame) > maxBuffered {
+		w.cond.Wait()
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.buf = append(w.buf, frame...)
+	w.cond.Broadcast()
+	return nil
+}
+
+// flush returns once everything queued has been handed to the kernel,
+// or with the write failure that prevented it.
+func (w *connWriter) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil && (len(w.buf) > 0 || w.writing) {
+		w.cond.Wait()
+	}
+	return w.err
+}
+
+// stop closes the connection — failing a write in flight — and waits
+// for the goroutine; frames still queued are dropped with the
+// connection.
+func (w *connWriter) stop() {
+	w.mu.Lock()
+	w.stopped = true
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	w.conn.Close()
+	<-w.done
+}
+
 // Dial connects to a server and performs the binary preface. The
 // initial credit window arrives with the server's first frame.
 func Dial(cfg ClientConfig) (*Client, error) {
@@ -156,7 +270,8 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// connect dials, writes the preface and waits for the initial credit.
+// connect dials, starts the connection's writer, sends the preface and
+// waits for the initial credit; on failure the writer is stopped again.
 // With a tenant token the preface is ProtocolVersionTenant and the
 // hello — session id (possibly zero) plus token — goes out before any
 // credit exists; the server grants the carved window only after
@@ -171,17 +286,16 @@ func (c *Client) connect() error {
 	if c.cfg.Token != "" {
 		version = ProtocolVersionTenant
 	}
-	if _, err := conn.Write([]byte{Magic, version}); err != nil {
-		conn.Close()
-		return err
-	}
 	c.conn = conn
+	c.w = startConnWriter(conn, &c.writes)
 	c.credit = 0
 	c.scan = newFrameScanner(DefaultMaxFrame)
 	fail := func(err error) error {
-		conn.Close()
-		c.conn = nil
+		c.hangup()
 		return err
+	}
+	if err := c.w.write([]byte{Magic, version}); err != nil {
+		return fail(err)
 	}
 	if version == ProtocolVersionTenant {
 		if err := c.sendHello(); err != nil {
@@ -222,8 +336,7 @@ func (c *Client) sendHello() error {
 	var tmp [binary.MaxVarintLen64]byte
 	payload := append(tmp[:binary.PutUvarint(tmp[:], c.cfg.Session)], c.cfg.Token...)
 	c.frame = AppendFrame(c.frame[:0], FrameHello, payload)
-	_, err := c.conn.Write(c.frame)
-	return err
+	return c.w.write(c.frame)
 }
 
 // awaitHelloAck reads until the server's FrameHelloAck, applying the
@@ -295,7 +408,7 @@ func (c *Client) retransmitLedger() error {
 			continue // acked by a credit frame read while waiting
 		}
 		c.frame = AppendFrame(c.frame[:0], FrameEventsSeq, b.frame)
-		if _, err := c.conn.Write(c.frame); err != nil {
+		if err := c.w.write(c.frame); err != nil {
 			return err
 		}
 		c.credit -= uint64(b.count)
@@ -377,14 +490,21 @@ func (c *Client) applyFlags(rest []byte) {
 // (at-most-once) — see FlagDegraded.
 func (c *Client) Degraded() bool { return c.degraded }
 
-// redial replaces a broken connection, with jittered exponential
-// backoff across consecutive dial failures. In-flight frames of the old
-// connection are considered lost.
-func (c *Client) redial() error {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+// hangup closes the connection, if any, and waits for its writer to
+// exit; frames still queued on it are dropped.
+func (c *Client) hangup() {
+	if c.w != nil {
+		c.w.stop()
 	}
+	c.conn, c.w = nil, nil
+}
+
+// redial replaces a broken connection, with jittered exponential
+// backoff across consecutive dial failures. Frames of the old
+// connection that were in flight, or still queued on its writer, are
+// considered lost.
+func (c *Client) redial() error {
+	c.hangup()
 	if !c.cfg.Reconnect {
 		return fmt.Errorf("transport: connection lost (reconnect disabled)")
 	}
@@ -424,15 +544,19 @@ func (c *Client) redial() error {
 // waitCredit blocks until at least need events of credit are available,
 // consuming server frames. Unexpected frames are a protocol error.
 func (c *Client) waitCredit(need uint64) error {
-	waited := false
+	if c.credit >= need {
+		return nil
+	}
 	start := time.Now()
-	defer func() {
-		if waited {
-			c.stats.CreditWait += time.Since(start)
-		}
-	}()
+	err := c.readCredit(need)
+	c.stats.CreditWait += time.Since(start)
+	return err
+}
+
+// readCredit is waitCredit's blocked path: it reads server frames until
+// the window covers need.
+func (c *Client) readCredit(need uint64) error {
 	for c.credit < need {
-		waited = true
 		typ, payload, err := c.readFrame()
 		if err != nil {
 			return err
@@ -486,17 +610,25 @@ func (c *Client) readFrame() (byte, []byte, error) {
 	}
 }
 
-// Submit buffers one event, flushing when the batch threshold is
-// reached. The event (and its Vals) is copied immediately, so the
-// caller may reuse its buffers.
+// Submit buffers one event; see SubmitBatch for what crossing the batch
+// threshold does.
 func (c *Client) Submit(ev event.Event) error {
 	return c.SubmitBatch([]event.Event{ev})
 }
 
-// SubmitBatch buffers a batch of events in stream order, flushing as
-// the batch threshold is crossed. The event structs are copied, but
-// their Vals backing arrays are referenced (not copied) until the
-// events are flushed; Events treat Vals as immutable throughout the
+// SubmitBatch buffers a batch of events in stream order. Each time the
+// batch threshold is crossed the pending events are encoded into one
+// frame and queued on the connection's writer — credit is spent and
+// Sent/Flushes are counted at that point (on a durable session the
+// ledger entry is made before it) — and the call returns without
+// waiting for the write: the writer sends the frame as soon as it is
+// scheduled, together with whatever else was queued meanwhile. It
+// blocks while the credit window is exhausted (the backpressure reaching
+// the producer) or more than maxBuffered bytes are queued. A write
+// failure surfaces on the next call that touches the connection, through
+// the redial path when Reconnect is set. The event structs are copied,
+// but their Vals backing arrays are referenced (not copied) until the
+// events are framed; Events treat Vals as immutable throughout the
 // repository, so this is only a constraint for callers that recycle
 // value buffers — Flush before reusing them.
 func (c *Client) SubmitBatch(events []event.Event) error {
@@ -506,7 +638,7 @@ func (c *Client) SubmitBatch(events []event.Event) error {
 	for _, ev := range events {
 		c.pending = append(c.pending, ev)
 		if len(c.pending) >= c.cfg.BatchEvents {
-			if err := c.Flush(); err != nil {
+			if err := c.framePending(); err != nil {
 				return err
 			}
 		}
@@ -514,14 +646,34 @@ func (c *Client) SubmitBatch(events []event.Event) error {
 	return nil
 }
 
-// Flush writes the pending events, waiting for window credit as
-// needed; the credit protocol keeps at most one server window of events
-// in flight, so a flush against an overloaded server blocks — that is
-// the backpressure reaching the producer.
+// Flush is the write barrier: it frames the pending events, waiting for
+// window credit as needed, and returns once every frame queued so far
+// has been handed to the kernel. If the connection fails first it
+// redials (an error when Reconnect is off or the redials are exhausted):
+// a durable session's frames are retransmitted from the ledger, a plain
+// connection's queued frames are lost with it.
 func (c *Client) Flush() error {
 	if c.closed {
 		return fmt.Errorf("transport: client closed")
 	}
+	if err := c.framePending(); err != nil {
+		return err
+	}
+	for c.w != nil {
+		if err := c.w.flush(); err == nil {
+			break
+		}
+		if err := c.redial(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// framePending encodes the pending events into frames of at most
+// BatchEvents events (and one credit window) and queues them on the
+// connection's writer.
+func (c *Client) framePending() error {
 	chunkMax := c.cfg.BatchEvents
 	if c.window > 0 && uint64(chunkMax) > c.window {
 		chunkMax = int(c.window)
@@ -552,10 +704,10 @@ func (c *Client) Flush() error {
 // bytes rather than rejected as an oversized frame.
 const maxChunkPayload = DefaultMaxFrame - 64
 
-// writeChunk sends the chunk as FrameEvents, splitting by encoded size
+// writeChunk queues the chunk as FrameEvents, splitting by encoded size
 // when the events are too large to fit a single frame, and redialing on
 // connection failure when enabled. It reports how many of the chunk's
-// events were written, so a partial split failure never gets the
+// events were queued, so a partial split failure never gets the
 // already-sent prefix resent (delivery stays at-most-once).
 func (c *Client) writeChunk(chunk []event.Event) (int, error) {
 	payload := c.enc.AppendEvents(c.payload[:0], chunk)
@@ -594,7 +746,7 @@ func (c *Client) writeChunk(chunk []event.Event) (int, error) {
 			return 0, err
 		}
 		c.frame = AppendFrame(c.frame[:0], FrameEvents, payload)
-		if _, err := c.conn.Write(c.frame); err != nil {
+		if err := c.w.write(c.frame); err != nil {
 			if rerr := c.redial(); rerr != nil {
 				return 0, rerr
 			}
@@ -607,12 +759,12 @@ func (c *Client) writeChunk(chunk []event.Event) (int, error) {
 	}
 }
 
-// writeDurable sends one chunk as a sequenced FrameEventsSeq batch.
-// The batch enters the ledger before the first write attempt, so a
-// connection failure at any point cannot lose it: the redial's
-// helloResync retransmits every ledger entry, and the server's dedup
-// watermark absorbs any copy that did arrive. The chunk counts into
-// Sent exactly once, here.
+// writeDurable queues one chunk as a sequenced FrameEventsSeq batch.
+// The batch enters the ledger before it is queued, so a connection
+// failure at any point — before, during or after its write — cannot
+// lose it: the redial's resync retransmits every ledger entry, and the
+// server's dedup watermark absorbs any copy that did arrive. The chunk
+// counts into Sent exactly once, here.
 func (c *Client) writeDurable(chunk []event.Event, payload []byte) (int, error) {
 	c.nextBatch++
 	var tmp [binary.MaxVarintLen64]byte
@@ -637,7 +789,7 @@ func (c *Client) writeDurable(chunk []event.Event, payload []byte) (int, error) 
 		return len(chunk), err
 	}
 	c.frame = AppendFrame(c.frame[:0], FrameEventsSeq, b.frame)
-	if _, err := c.conn.Write(c.frame); err != nil {
+	if err := c.w.write(c.frame); err != nil {
 		return len(chunk), c.redial()
 	}
 	c.credit -= uint64(b.count)
@@ -662,7 +814,7 @@ func (c *Client) ServerStats() ([]byte, error) {
 	if err := c.ensureConn(); err != nil {
 		return nil, err
 	}
-	if _, err := c.conn.Write(AppendFrame(nil, FrameStatsReq, nil)); err != nil {
+	if err := c.w.write(AppendFrame(c.frame[:0], FrameStatsReq, nil)); err != nil {
 		return nil, err
 	}
 	for {
@@ -694,51 +846,54 @@ func (c *Client) ServerStats() ([]byte, error) {
 // It returns the final statistics.
 func (c *Client) Close() (ClientStats, error) {
 	if c.closed {
-		return c.stats, nil
+		return c.Stats(), nil
 	}
-	defer func() {
-		c.closed = true
-		if c.conn != nil {
-			c.conn.Close()
-		}
-	}()
+	err := c.finish()
+	c.closed = true
+	c.hangup()
+	return c.Stats(), err
+}
+
+// finish is Close's conversation with the server: flush, drain the
+// ledger, then EOF and FrameDone.
+func (c *Client) finish() error {
 	if err := c.Flush(); err != nil {
-		return c.stats, err
+		return err
 	}
 	if c.cfg.Session != 0 {
 		if err := c.drainAcks(); err != nil {
-			return c.stats, err
+			return err
 		}
 	}
 	for {
 		if err := c.ensureConn(); err != nil {
-			return c.stats, err
+			return err
 		}
-		if _, err := c.conn.Write(AppendFrame(nil, FrameEOF, nil)); err != nil {
+		if err := c.w.write(AppendFrame(c.frame[:0], FrameEOF, nil)); err != nil {
 			if c.cfg.Session != 0 && isConnErr(err) {
 				if rerr := c.redial(); rerr != nil {
-					return c.stats, rerr
+					return rerr
 				}
 				continue
 			}
-			return c.stats, err
+			return err
 		}
 		done, err := c.awaitDone()
 		if err != nil {
 			if c.cfg.Session != 0 && isConnErr(err) {
 				if rerr := c.redial(); rerr != nil {
-					return c.stats, rerr
+					return rerr
 				}
 				continue // resend EOF on the fresh connection
 			}
-			return c.stats, err
+			return err
 		}
 		if c.cfg.Session == 0 {
 			// Durable sessions keep the ledger count: FrameDone is
 			// connection-scoped and undercounts across redials.
 			c.stats.Accepted = done
 		}
-		return c.stats, nil
+		return nil
 	}
 }
 
@@ -797,4 +952,8 @@ func (c *Client) awaitDone() (uint64, error) {
 }
 
 // Stats returns the client's counters so far.
-func (c *Client) Stats() ClientStats { return c.stats }
+func (c *Client) Stats() ClientStats {
+	st := c.stats
+	st.Writes = c.writes.Load()
+	return st
+}

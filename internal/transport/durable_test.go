@@ -136,7 +136,7 @@ func TestDurableReconnectEffectivelyOnce(t *testing.T) {
 	sink := &collectSink{}
 	srv := startServer(t, ServerConfig{Sink: sink, Window: 64})
 
-	proxy := startCuttingProxy(t, srv.Addr().String(), 1)
+	proxy := startCuttingProxy(t, srv.Addr().String(), 1<<10, nil)
 	c, err := Dial(ClientConfig{Addr: proxy, BatchEvents: 32, Session: 3, Reconnect: true, MaxRedials: 10})
 	if err != nil {
 		t.Fatal(err)

@@ -151,9 +151,13 @@ func TestClientRedialsExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// SubmitBatch only queues; Flush is the barrier a write failure (or
+	// the failed redial behind it) cannot get past.
 	var ferr error
 	for i := 0; i < 64 && ferr == nil; i++ {
-		ferr = c.SubmitBatch(genEvents(4))
+		if ferr = c.SubmitBatch(genEvents(4)); ferr == nil {
+			ferr = c.Flush()
+		}
 	}
 	if !errors.Is(ferr, ErrRedialsExhausted) {
 		t.Fatalf("flush error = %v, want ErrRedialsExhausted", ferr)

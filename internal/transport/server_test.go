@@ -329,7 +329,7 @@ func TestClientReconnect(t *testing.T) {
 	sink := &collectSink{}
 	srv := startServer(t, ServerConfig{Sink: sink, Window: 64})
 
-	proxy := startCuttingProxy(t, srv.Addr().String(), 1)
+	proxy := startCuttingProxy(t, srv.Addr().String(), 1<<10, nil)
 	c, err := Dial(ClientConfig{Addr: proxy, BatchEvents: 32, Reconnect: true, MaxRedials: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -358,10 +358,12 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
-// startCuttingProxy forwards to target, killing the first cutAfterKB
-// kilobytes' connection, then forwarding subsequent connections
-// untouched. Returns the proxy address.
-func startCuttingProxy(t *testing.T, target string, cutAfterKB int) string {
+// startCuttingProxy forwards to target. On the first connection it
+// passes cutAfter bytes from the client, stops reading, waits for hold
+// to be closed (nil: does not wait) and drops the connection
+// mid-stream; subsequent connections are forwarded untouched. Returns
+// the proxy address.
+func startCuttingProxy(t *testing.T, target string, cutAfter int64, hold <-chan struct{}) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -370,6 +372,7 @@ func startCuttingProxy(t *testing.T, target string, cutAfterKB int) string {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	first := true
+	stop := make(chan struct{})
 	done := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -394,7 +397,13 @@ func startCuttingProxy(t *testing.T, target string, cutAfterKB int) string {
 				defer in.Close()
 				defer out.Close()
 				if cut {
-					io.CopyN(out, in, int64(cutAfterKB)<<10)
+					io.CopyN(out, in, cutAfter)
+					if hold != nil {
+						select {
+						case <-hold:
+						case <-stop:
+						}
+					}
 					return // drop the connection mid-stream
 				}
 				io.Copy(out, in)
@@ -407,6 +416,7 @@ func startCuttingProxy(t *testing.T, target string, cutAfterKB int) string {
 	}()
 	t.Cleanup(func() {
 		ln.Close()
+		close(stop)
 		go func() { wg.Wait(); close(done) }()
 		select {
 		case <-done:
@@ -541,5 +551,7 @@ func TestClientSplitsOversizedBatches(t *testing.T) {
 	if err := c2.Flush(); err == nil {
 		t.Fatal("undeliverable single event accepted")
 	}
-	c2.conn.Close()
+	if _, err := c2.Close(); err == nil {
+		t.Fatal("Close with an undeliverable event pending succeeded")
+	}
 }
