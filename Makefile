@@ -11,7 +11,7 @@ BENCHLABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 # goes through `go test -fuzz` directly).
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-skew bench-e2e bench-figures fmt vet doccheck fuzz-smoke loadtest killtest chaostest fairtest
+.PHONY: build test bench bench-skew bench-e2e bench-figures fmt vet doccheck fuzz-smoke stress loadtest killtest chaostest fairtest
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,25 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
+
+# Scheduling-sensitive selections, repeated at GOMAXPROCS 1 and 2, where
+# a lost wake-up, a double release or a misordered reply actually shows:
+# - runtime: the serial pipeline's flow control (waitCapacity/
+#   releaseSlots), mid-message containment, submit-shape equivalence,
+#   the overload cells (the control loop must fire at both) and the
+#   backlog table;
+# - engine (race): the fan-out on the submitters' goroutines — start
+#   gate, total order, Register/Deregister interleavings;
+# - transport (race): the client's per-connection writer (what a write
+#   coalesces, when Flush returns, how a write failure reaches a producer
+#   blocked on credit), resync, durable sessions, the equivalence suites,
+#   the run semantics and the frame fuzzer's seed corpus;
+# - chaos (race): a sink panic contained by the server.
+stress:
+	$(GO) test -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents' ./internal/runtime
+	$(GO) test -race -count=5 -cpu 1,2 -run 'SubmitBeforeRun|TotalOrder|EngineEquivalence|DeregisterUnderLiveTraffic|ConcurrentRegisterSubmit|ShardedPoolChurn' ./internal/engine
+	$(GO) test -race -count=5 -cpu 1,2 -run 'Client|Coalesc|LoneBatch|Resync|Durable|Equiv|^TestRun|^FuzzServerFrame$$' ./internal/transport
+	$(GO) test -race -count=5 -cpu 1,2 -run 'SinkPanic' ./internal/chaos
 
 # Drive the networked ingest path end to end (in-process loopback
 # server) and leave a machine-readable latency summary next to

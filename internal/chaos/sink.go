@@ -23,7 +23,9 @@ type Sink struct {
 	Inner transport.Sink
 	// PanicEvery panics on every Nth SubmitBatch call (0 disables). The
 	// batch is NOT forwarded: a panicking consumer loses the in-flight
-	// delivery, and the layers above decide what that means.
+	// delivery, and the layers above decide what that means. It counts
+	// calls, not frames: behind a transport server one call carries one
+	// run, every batch that arrived with one read.
 	PanicEvery int
 	// MaxDelay/DelayEvery sleep a seeded random duration up to MaxDelay
 	// before one in DelayEvery forwards (DelayEvery 0 delays every

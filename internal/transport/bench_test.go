@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/event"
@@ -18,11 +19,11 @@ func (j walJournal) Append(session, batchSeq uint64, _ int, _ event.Time, payloa
 
 func (j walJournal) Commit(seq uint64) error { return j.log.Commit(seq) }
 
-// discardSink accepts and forgets: the benchmark measures the ingest
-// path in front of the sink.
-type discardSink struct{}
+// discardSink accepts and forgets, counting only its calls: the
+// benchmark measures the ingest path in front of the sink.
+type discardSink struct{ calls atomic.Uint64 }
 
-func (discardSink) SubmitBatch([]event.Event) {}
+func (s *discardSink) SubmitBatch([]event.Event) { s.calls.Add(1) }
 
 // BenchmarkServerDurableIngest drives one durable session over loopback
 // into a server journaling to a real wal.Log: one op is one 256-event
@@ -40,7 +41,7 @@ func BenchmarkServerDurableIngest(b *testing.B) {
 	if _, err := log.Recover(func(wal.Record) error { return nil }); err != nil {
 		b.Fatal(err)
 	}
-	srv := startServer(b, ServerConfig{Sink: discardSink{}, Journal: walJournal{log}})
+	srv := startServer(b, ServerConfig{Sink: &discardSink{}, Journal: walJournal{log}})
 	c, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: per, Session: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -68,13 +69,17 @@ func BenchmarkServerDurableIngest(b *testing.B) {
 // as the credit window allows: ns/event is the producer's cost of
 // getting an event to the wire, frames/write how many frames each
 // socket write carried (1.0 means every frame paid for its own
-// syscall). The client's steady state allocates nothing; what allocs/op
-// shows is the server in the same process detaching one Vals slab per
-// run (0 at frame=8, where a run spans many ops).
+// syscall), events/submit how many events each sink call carried over
+// the connection's life (per means one call per frame; above it, the
+// server submits a run of frames at once). The client's steady state
+// allocates nothing; what allocs/op shows is the server in the same
+// process detaching one Vals slab per run (0 at frame=8, where a run
+// spans many ops).
 func BenchmarkClientSubmit(b *testing.B) {
 	for _, per := range []int{8, 256} {
 		b.Run(fmt.Sprintf("frame=%d", per), func(b *testing.B) {
-			srv := startServer(b, ServerConfig{Sink: discardSink{}})
+			sink := &discardSink{}
+			srv := startServer(b, ServerConfig{Sink: sink})
 			c, err := Dial(ClientConfig{Addr: srv.Addr().String(), BatchEvents: per})
 			if err != nil {
 				b.Fatal(err)
@@ -104,9 +109,12 @@ func BenchmarkClientSubmit(b *testing.B) {
 			st := c.Stats()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per)/float64(b.N), "ns/event")
 			b.ReportMetric(float64(st.Flushes-warm.Flushes)/float64(st.Writes-warm.Writes), "frames/write")
-			if _, err := c.Close(); err != nil {
+			// Close returns once every event has been submitted.
+			fin, err := c.Close()
+			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(fin.Sent)/float64(sink.calls.Load()), "events/submit")
 		})
 	}
 }

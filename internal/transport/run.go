@@ -294,40 +294,51 @@ func (c *binaryConn) unlockSession() {
 	c.sess.mu.Unlock()
 }
 
-// flush settles the staged batches in stream order: commit, submit,
-// advance the session watermark, append the ack. A batch is submitted
-// and acknowledged iff its own Commit returned nil — or the journal
-// degraded (Append or Commit returned ErrJournalDegraded): then it is
-// accepted without durability, the watermark advances in memory only,
-// and the ack says so with FlagDegraded. Any other journal error stops
-// the run there: that batch and every later one is neither submitted
-// nor acknowledged, and the connection drops (errDropped) once the acks
-// of the batches before it are out — the producer redials and
+// flush settles the staged batches in stream order: commit each batch,
+// submit the committed prefix to the sink in one call, then per batch
+// advance the session watermark and append its ack. A batch is
+// submitted and acknowledged iff its own Commit returned nil — or the
+// journal degraded (Append or Commit returned ErrJournalDegraded): then
+// it is accepted without durability, the watermark advances in memory
+// only, and the ack says so with FlagDegraded. Any other journal error
+// stops the run there: that batch and every later one is neither
+// submitted nor acknowledged, and the connection drops (errDropped) once
+// the acks of the batches before it are out — the producer redials and
 // retransmits, and the dedup watermark keeps delivery effectively-once.
+//
+// The staged batches lie back to back in the slab: a decode that is not
+// staged adds no events (an empty plain frame), settles the staged
+// batches first (a retransmit, in sequence) or ends the connection (gap,
+// over-credit, events after EOF, journal fault), so the committed prefix
+// is one slice.
 func (c *binaryConn) flush() error {
 	s := c.s
 	var failed error
-	var total uint64
+	ok := len(c.staged)
 	for i := range c.staged {
 		b := &c.staged[i]
 		if b.journaled {
 			if err := s.cfg.Journal.Commit(b.seq); errors.Is(err, ErrJournalDegraded) {
 				b.degraded = true
 			} else if err != nil {
-				failed = err
+				ok, failed = i, err
 				break
 			}
 		}
-		events := c.events[b.lo:b.hi]
-		n := uint64(len(events))
+	}
+	if ok > 0 {
+		if run := c.events[c.staged[0].lo:c.staged[ok-1].hi]; len(run) > 0 {
+			s.submitBatch(c.ten, run)
+		}
+	}
+	var total uint64
+	for _, b := range c.staged[:ok] {
+		n := uint64(b.hi - b.lo)
 		if b.degraded {
 			s.noteJournal(true)
 			s.lostDurable.Add(n)
 		} else if b.journaled {
 			s.noteJournal(false)
-		}
-		if n > 0 {
-			s.submitBatch(c.ten, events)
 		}
 		if b.batchSeq != 0 {
 			c.sess.applied = b.batchSeq

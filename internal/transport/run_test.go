@@ -34,13 +34,19 @@ type gateJournal struct {
 	degradeAt uint64
 	degraded  bool
 
-	sink     *collectSink // sampled when failAt fires
-	atFailed int          // events the sink held at that moment
+	// sink is sampled at the first Append after failAt fired — the
+	// redialed connection's retransmit of batch failAt — into atFailed.
+	sink     *collectSink
+	sample   bool
+	atFailed int
 }
 
 func (j *gateJournal) Append(session, batchSeq uint64, count int, maxTS event.Time, payload []byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.sample {
+		j.sample, j.atFailed = false, len(j.sink.snapshot())
+	}
 	if j.degraded {
 		return 0, ErrJournalDegraded
 	}
@@ -67,8 +73,7 @@ func (j *gateJournal) Commit(seq uint64) error {
 	upTo := j.lastSeq
 	if at := j.failAt; at != 0 && at <= upTo {
 		if seq >= at {
-			j.failAt, j.lastSeq = 0, j.synced
-			j.atFailed = len(j.sink.snapshot())
+			j.failAt, j.lastSeq, j.sample = 0, j.synced, j.sink != nil
 			return errJournalDown
 		}
 		upTo = at - 1
@@ -104,9 +109,12 @@ func seqFrame(batchSeq uint64, events []event.Event) []byte {
 	return AppendFrame(nil, FrameEventsSeq, enc.AppendEvents(payload, events))
 }
 
-// dialSession opens a raw version-1 connection and a durable session on
-// it, consuming the initial grant and the hello ack.
-func dialSession(t *testing.T, srv *Server, session uint64) *rawConn {
+// dialSession opens a raw connection and a durable session on it,
+// consuming the grant and the hello ack. An empty token makes it a
+// version-1 connection, granted before the hello; otherwise it is a
+// tenant connection whose hello carries the token and whose grant
+// follows the hello ack.
+func dialSession(t *testing.T, srv *Server, session uint64, token string) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -114,17 +122,29 @@ func dialSession(t *testing.T, srv *Server, session uint64) *rawConn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	r := newRawConn(conn)
-	if err := r.write([]byte{Magic, ProtocolVersion}); err != nil {
+	version, hello := ProtocolVersion, uvarintFrame(FrameHello, session)
+	if token != "" {
+		version = ProtocolVersionTenant
+		hello = AppendFrame(nil, FrameHello, append(binary.AppendUvarint(nil, session), token...))
+	}
+	if err := r.write([]byte{Magic, version}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.expect(FrameCredit); err != nil {
-		t.Fatal(err)
+	if token == "" {
+		if _, err := r.expect(FrameCredit); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := r.write(uvarintFrame(FrameHello, session)); err != nil {
+	if err := r.write(hello); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.expect(FrameHelloAck); err != nil {
 		t.Fatal(err)
+	}
+	if token != "" {
+		if _, err := r.expect(FrameCredit); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return r
 }
@@ -168,16 +188,45 @@ func sendBehindGate(t *testing.T, r *rawConn, journal *gateJournal, in []event.E
 	close(journal.gate)
 }
 
-// TestRunGroupCommit: N frames buffered behind one slow Commit cost at
-// most two sync rounds, are acked in order with a monotone watermark,
-// and no ack is observable before the sync covering it returned.
-func TestRunGroupCommit(t *testing.T) {
+// callSink is a collecting TenantSink that logs one entry per call: the
+// tenant it carried, or "" for a plain SubmitBatch.
+type callSink struct {
+	collectSink
+	calls []string // guarded by collectSink.mu
+}
+
+func (s *callSink) SubmitBatch(evs []event.Event) { s.record("", evs) }
+
+func (s *callSink) SubmitTenantBatch(tenant string, evs []event.Event) { s.record(tenant, evs) }
+
+func (s *callSink) record(tenant string, evs []event.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls = append(s.calls, tenant)
+	s.events = append(s.events, evs...)
+}
+
+func (s *callSink) log() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.calls...)
+}
+
+// groupCommit sends N frames behind one slow Commit on a durable
+// session (a tenant one when token is set) and checks that they cost at
+// most two sync rounds and exactly as many sink calls — one of each per
+// run —, are acked in order with a monotone watermark, and that no ack
+// is observable before the sync covering it returned. It returns the
+// tenant each sink call carried.
+func groupCommit(t *testing.T, cfg ServerConfig, token string) []string {
+	t.Helper()
 	harness.VerifyNoLeaks(t)
 	const per, n = 4, 10
-	sink := &collectSink{}
+	sink := &callSink{}
 	journal := &gateJournal{gate: make(chan struct{})}
-	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: 256})
-	r := dialSession(t, srv, 7)
+	cfg.Sink, cfg.Journal, cfg.Window = sink, journal, 256
+	srv := startServer(t, cfg)
+	r := dialSession(t, srv, 7, token)
 	in := genEvents(per * n)
 
 	sendBehindGate(t, r, journal, in, per, n)
@@ -189,10 +238,35 @@ func TestRunGroupCommit(t *testing.T) {
 			t.Fatalf("batch %d acked with the journal synced through %d only", k, synced)
 		}
 	}
-	if _, rounds, _ := journal.state(); rounds > 2 {
-		t.Fatalf("%d frames took %d sync rounds, want at most 2", n, rounds)
+	_, rounds, _ := journal.state()
+	calls := sink.log()
+	if rounds > 2 || len(calls) != rounds {
+		t.Fatalf("%d frames took %d sync rounds and %d sink calls, want equal and at most 2", n, rounds, len(calls))
 	}
-	requireExactly(t, sink, in)
+	requireExactly(t, &sink.collectSink, in)
+	return calls
+}
+
+// TestRunGroupCommit: a buffered run is one sync round, one sink call
+// and in-order acks (groupCommit); a plain connection calls SubmitBatch.
+func TestRunGroupCommit(t *testing.T) {
+	for i, tenant := range groupCommit(t, ServerConfig{}, "") {
+		if tenant != "" {
+			t.Fatalf("sink call %d on a plain connection carried tenant %q", i, tenant)
+		}
+	}
+}
+
+// TestRunSubmitsOnce: on a tenant connection the one sink call per run
+// is SubmitTenantBatch with the tenant's name; SubmitBatch is never
+// called.
+func TestRunSubmitsOnce(t *testing.T) {
+	auth := testAuth(map[string]TenantAuth{"tok": {Tenant: "alpha"}})
+	for i, tenant := range groupCommit(t, ServerConfig{Authenticate: auth}, "tok") {
+		if tenant != "alpha" {
+			t.Fatalf("sink call %d carried tenant %q, want %q", i, tenant, "alpha")
+		}
+	}
 }
 
 // TestRunFailStopMidRun: a fail-stop journal error at the k-th commit of
@@ -229,8 +303,11 @@ func TestRunFailStopMidRun(t *testing.T) {
 	if st.Redials != 1 || st.Retransmits != n-failAt+1 {
 		t.Fatalf("redials %d retransmits %d, want 1 and %d", st.Redials, st.Retransmits, n-failAt+1)
 	}
+	// The retransmit of batch failAt found exactly the batches before it
+	// delivered: the cut run submitted its committed prefix and nothing
+	// from failAt on.
 	if _, _, got := journal.state(); got != per*(failAt-1) {
-		t.Fatalf("sink held %d events when commit %d failed, want %d", got, failAt, per*(failAt-1))
+		t.Fatalf("sink held %d events when batch %d was retransmitted, want %d", got, failAt, per*(failAt-1))
 	}
 	requireExactly(t, sink, in)
 }
@@ -245,7 +322,7 @@ func TestRunDegradedMidRun(t *testing.T) {
 	sink := &collectSink{}
 	journal := &gateJournal{gate: make(chan struct{}), degradeAt: degradeAt}
 	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal, Window: 256})
-	r := dialSession(t, srv, 9)
+	r := dialSession(t, srv, 9, "")
 	in := genEvents(per * (n + 1))
 
 	sendBehindGate(t, r, journal, in, per, n)
@@ -283,7 +360,7 @@ func TestRunReplyOrder(t *testing.T) {
 		Sink: sink, Journal: journal, Window: 256,
 		StatsJSON: func() []byte { return []byte(`{}`) },
 	})
-	r := dialSession(t, srv, 3)
+	r := dialSession(t, srv, 3, "")
 	in := genEvents(per * 3)
 
 	if err := r.write(seqFrame(1, in[:per])); err != nil {

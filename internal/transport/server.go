@@ -14,7 +14,12 @@ import (
 	"repro/internal/event"
 )
 
-// Sink absorbs ingested event batches in connection order. Both
+// Sink absorbs ingested event batches in connection order. A binary
+// connection's call carries the committed batches of one run (every
+// frame that arrived with one read), back to back in stream order, so
+// call boundaries are not frame boundaries: a wrapper that stamps or
+// counts per call measures runs, not frames, even at a paced rate,
+// where a producer's frames still arrive in bursts. Both
 // runtime.Pipeline and engine.Engine satisfy it; SubmitBatch must be
 // done with the slice by the time it returns (both are — the serial
 // pipeline copies it, the sharded pipeline partitions it straight into
@@ -751,18 +756,20 @@ const runReadSize = 64 << 10
 // frame the handler would have to wait for. A run moves through ordered
 // stages (binaryConn, run.go): per frame, scan → decode into the run's
 // event slab → credit check → session dedup/gap check → Journal.Append;
-// then per staged batch, in stream order, Journal.Commit → submit to the
-// sink → advance the session watermark → append the credit/ack frame to
-// the run's reply buffer; then one tenant-throttle charge and one
-// conn.Write for the whole run. The first Commit of a run syncs
-// everything the run staged, so under load one fsync and one write cover
-// every frame the producer sent during the previous fsync, while a lone
-// paced frame is a run of one.
+// then Journal.Commit of each staged batch, in stream order → one submit
+// of the committed prefix to the sink → per batch, advance the session
+// watermark and append the credit/ack frame to the run's reply buffer;
+// then one tenant-throttle charge and one conn.Write for the whole run.
+// The first Commit of a run syncs everything the run staged, so under
+// load one fsync, one sink call and one write cover every frame the
+// producer sent during the previous fsync, while a lone paced frame is a
+// run of one.
 //
 // Credit accounting: the client starts with Window events of credit;
 // every events frame spends its event count at parse time (overspending
 // is a protocol error, which makes the window a hard bound on what a
-// run can stage); after the batch has been submitted to the sink —
+// run can stage); after the run carrying the batch has been submitted
+// to the sink —
 // which blocks while the pipeline's bounded queue is full — the same
 // amount is granted back. Decode, submit and credit writes all happen on
 // this one goroutine, so a connection never buffers more than the
