@@ -30,13 +30,18 @@ type propWorkload struct {
 	shed   bool
 }
 
-// makeWorkload derives a workload from a seed: count- or time-based
-// windows with random (overlapping) geometry, a random-length stream of
-// randomly typed events with either irregular or bursty (skewed)
-// timestamp gaps, and optionally a deterministic shedder. Bursty
-// streams pack most events into dense clusters separated by long quiet
-// gaps, so time-based windows opened inside a burst are far larger than
-// the rest — the hot-window skew the work-stealing path rebalances.
+// makeWorkload derives a workload from a seed: one of three random
+// (overlapping) window geometries, a random-length stream of randomly
+// typed events with either irregular or bursty (skewed) timestamp gaps,
+// and optionally a deterministic shedder. The geometries are count
+// windows (closed by count after their last event is routed), sliding
+// time windows (closed by expiry before the next event is routed), and
+// Q2's shape: time windows opened by a predicate on every A event, plus
+// a Close predicate that seals every open window before routing the
+// closing event. Bursty streams pack most events into dense clusters
+// separated by long quiet gaps, so time-based windows opened inside a
+// burst are far larger than the rest — the hot-window skew the
+// work-stealing path rebalances.
 func makeWorkload(seed uint64, nEvents int) propWorkload {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	w := propWorkload{shed: rng.Intn(2) == 0}
@@ -44,18 +49,33 @@ func makeWorkload(seed uint64, nEvents int) propWorkload {
 	if nEvents <= 0 {
 		nEvents = 200 + rng.Intn(1200)
 	}
-	if rng.Intn(2) == 0 {
+	// math/rand's Intn(4) is Intn(2) plus one more bit, so the seeds that
+	// drew the two older geometries from Intn(2) keep their workloads;
+	// the predicate geometry takes one of the time half's two values.
+	switch rng.Intn(4) {
+	case 0, 2:
 		count := 3 + rng.Intn(22)
 		slide := 1 + rng.Intn(count)
 		w.spec = window.Spec{Mode: window.ModeCount, Count: count, Slide: slide}
 		w.label = fmt.Sprintf("seed=%d/count=%d/slide=%d/n=%d/shed=%v/burst=%v",
 			seed, count, slide, nEvents, w.shed, burst)
-	} else {
+	case 3:
 		length := event.Time(5+rng.Intn(45)) * event.Millisecond
 		slide := event.Time(1+rng.Intn(20)) * event.Millisecond
 		w.spec = window.Spec{Mode: window.ModeTime, Length: length, SlideTime: slide}
 		w.label = fmt.Sprintf("seed=%d/time=%v/slide=%v/n=%d/shed=%v/burst=%v",
 			seed, length, slide, nEvents, w.shed, burst)
+	case 1:
+		length := event.Time(5+rng.Intn(45)) * event.Millisecond
+		closeEvery := uint64(8 + rng.Intn(40))
+		w.spec = window.Spec{
+			Mode:   window.ModeTime,
+			Length: length,
+			Open:   func(e event.Event) bool { return e.Type == typeA },
+			Close:  func(e event.Event) bool { return e.Type == 2 && e.Seq%closeEvery == 0 },
+		}
+		w.label = fmt.Sprintf("seed=%d/open=A/time=%v/close=%d/n=%d/shed=%v/burst=%v",
+			seed, length, closeEvery, nEvents, w.shed, burst)
 	}
 	w.events = make([]event.Event, nEvents)
 	ts := event.Time(0)
@@ -110,8 +130,10 @@ func streamSignature(ces []operator.ComplexEvent) string {
 
 // TestShardedEquivalenceProperty is the property sweep behind the
 // scale-out refactor: over randomized overlapping-window workloads
-// (count and time modes, skewed and uniform arrivals, with and without
-// shedding), every sharded pipeline in {2,4,8} emits a byte-identical
+// (count, sliding time and predicate-opened time windows with a Close
+// predicate — so closes staged both before and after a shard's event op
+// — skewed and uniform arrivals, with and without shedding), every
+// sharded pipeline in {2,4,8} emits a byte-identical
 // complex-event stream to the serial pipeline — with work stealing
 // disabled and with it forced aggressive (threshold 1 plus a small
 // processing delay so backlogs actually build and windows actually
@@ -119,7 +141,7 @@ func streamSignature(ces []operator.ComplexEvent) string {
 // and epoch-merge handoffs.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	harness.VerifyNoLeaks(t)
-	for seed := uint64(1); seed <= 6; seed++ {
+	for seed := uint64(1); seed <= 9; seed++ { // seed 9 draws the predicate geometry
 		w := makeWorkload(seed, 0)
 		t.Run(w.label, func(t *testing.T) {
 			serial, _ := runCollect(t, w.config(), w.events)
@@ -221,8 +243,9 @@ func TestSerialSubmitShapeEquivalence(t *testing.T) {
 // deployment, with work stealing either disabled or forced aggressive.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(300), false)
-	f.Add(uint64(7), uint16(900), true)
+	f.Add(uint64(7), uint16(900), true) // predicate geometry
 	f.Add(uint64(42), uint16(512), true)
+	f.Add(uint64(4), uint16(700), false) // predicate geometry
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, steal bool) {
 		nEvents := int(n)%1000 + 50 // bound the per-input cost
 		w := makeWorkload(seed, nEvents)

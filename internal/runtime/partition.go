@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,14 +11,14 @@ import (
 )
 
 // Shard op kinds. The low bits select the operation; opSampleFlag marks
-// the one membership op per sampled event whose processing time feeds
-// the latency trace (see Config.LatencySampleEvery).
+// the one event op per sampled event whose processing time feeds the
+// latency trace (see Config.LatencySampleEvery).
 const (
-	opMember = 0 // add-or-shed one membership: slot, pos, evIdx
-	opOpen   = 1 // open a window in slot: a = window ID, b = expected size, evIdx = opening event
-	opClose  = 2 // close the window in slot: a = merge epoch, b = close timestamp
-	opEvict  = 3 // hand the window in slot to shard a's steal ring (work stealing)
-	opAdopt  = 4 // receive a stolen window from the steal ring into slot
+	opEvent = 0 // route evIdx into every open window the shard owns, positions assigned there
+	opOpen  = 1 // open window win: a = expected size, evIdx = opening event
+	opClose = 2 // close window win: a = merge epoch, b = close timestamp
+	opEvict = 3 // hand window win to shard a's steal ring (work stealing)
+	opAdopt = 4 // receive a stolen window from the steal ring
 
 	opKindMask   = 0x7f
 	opSampleFlag = 1 << 7
@@ -45,16 +46,18 @@ const (
 )
 
 // shardOp is one decoded instruction for a shard. The partitioner runs
-// the windowing policy centrally (so window identities, positions and
-// size predictions stay exactly the serial pipeline's) and compiles its
-// outcome into these fixed-size ops; the owning shard replays them in
-// order against its local window slots. 32 bytes, no pointers — a staged
-// op stream costs the shard no GC scanning.
+// the windowing policy centrally (so window identities, opens, closes
+// and size predictions stay exactly the serial pipeline's) and compiles
+// its outcome into these fixed-size ops, in the order routeOne gives.
+// The owning shard replays them in order against its open windows. The
+// event op carries no position: the shard hands out w.Arrivals itself,
+// which is the tracker's position because both sides count the same
+// arrivals. 32 bytes, no pointers — a staged op stream costs the shard
+// no GC scanning.
 type shardOp struct {
 	kind  uint8
-	slot  int32 // shard-local window slot (dense, recycled at close)
-	pos   int32 // membership position (opMember)
-	evIdx int32 // index into the batch's events array (opMember, opOpen)
+	evIdx int32     // index into the batch's events array (opEvent, opOpen)
+	win   window.ID // target window (opOpen, opClose, opEvict)
 	a     uint64
 	b     uint64
 }
@@ -67,13 +70,14 @@ type shardBatch struct {
 	ops     []shardOp
 	events  []event.Event
 	arrived time.Time // submit time shared by every op in the batch
-	members int       // membership ops staged (backlog accounting)
+	members int       // memberships the event ops carry (backlog accounting)
 }
 
-// opsFlushBatch caps how many ops a batch accumulates before the
-// partitioner flushes it to the shard mid-call; every public
-// Submit/SubmitBatch call also flushes whatever is staged on return, so
-// a paced producer never leaves work parked in the staging area.
+// opsFlushBatch caps how many ops — about one per routed event — a
+// batch accumulates before the partitioner flushes it to the shard
+// mid-call; every public Submit/SubmitBatch call also flushes whatever
+// is staged on return, so a paced producer never leaves work parked in
+// the staging area.
 const opsFlushBatch = 512
 
 // partitioner is the submitter-side front end of the sharded pipeline.
@@ -83,11 +87,11 @@ const opsFlushBatch = 512
 // central-manager serialization disappear from the scale path.
 //
 // tracker is a plain window.Manager used only for bookkeeping: it
-// decides opens, positions, closes and size predictions exactly as the
-// serial operator's manager does, but its windows carry no payload —
-// events are never Added to them. The payload windows live in the
-// shards, one slot array per shard, and a window's whole life (open,
-// add, shed, close, match, recycle) happens on its owning shard's
+// decides opens, closes and size predictions exactly as the serial
+// operator's manager does, but its windows carry no payload — events
+// are never Added to them. The payload windows live in the shards, each
+// shard's open ones in ascending window ID, and a window's whole life
+// (open, add, shed, close, match, recycle) happens on its owning shard's
 // goroutine. tracker windows are recycled through the manager's own
 // pool the moment their close op is emitted.
 type partitioner struct {
@@ -95,13 +99,15 @@ type partitioner struct {
 	mu sync.Mutex
 
 	tracker *window.Manager
+	// countClose is the arrival count at which Route closes a window
+	// after routing (ModeCount's Count); no window reaches it otherwise.
+	countClose int
 
 	// Per-shard staging state, indexed by shard id.
-	staged    []*shardBatch
-	freeSlots [][]int32 // recycled window slots
-	nextSlot  []int32   // next never-used slot
-	evMark    []uint64  // stamp of the event currently staged per shard
-	evIdx     []int32   // its index in that shard's staged events
+	staged []*shardBatch
+	owned  []int    // open windows per shard: memberships per event op
+	evMark []uint64 // stamp of the event currently staged per shard
+	evIdx  []int32  // its index in that shard's staged events
 
 	evStamp uint64     // bumped once per routed event (dedup stamps)
 	epoch   uint64     // next window-close epoch (merge order)
@@ -123,13 +129,17 @@ func newPartitioner(p *Pipeline, spec window.Spec) (*partitioner, error) {
 	if err != nil {
 		return nil, err
 	}
+	countClose := math.MaxInt
+	if spec.Mode == window.ModeCount {
+		countClose = spec.Count
+	}
 	n := len(p.shards)
 	return &partitioner{
 		p:              p,
 		tracker:        tracker,
+		countClose:     countClose,
 		staged:         make([]*shardBatch, n),
-		freeSlots:      make([][]int32, n),
-		nextSlot:       make([]int32, n),
+		owned:          make([]int, n),
 		evMark:         make([]uint64, n),
 		evIdx:          make([]int32, n),
 		stealThreshold: p.cfg.stealThreshold,
@@ -137,18 +147,12 @@ func newPartitioner(p *Pipeline, spec window.Spec) (*partitioner, error) {
 	}, nil
 }
 
-// tagAssigned marks a tracker window whose owning shard and slot have
-// been chosen; the zero Tag means "not yet placed" (fresh or recycled
-// windows are zeroed by the pool).
+// tagAssigned marks a tracker window whose owning shard has been
+// chosen; the low bits of the Tag hold that shard. The zero Tag means
+// "not yet placed" (fresh or recycled windows are zeroed by the pool).
 const tagAssigned = 1 << 63
 
-func packTag(shard int, slot int32) uint64 {
-	return tagAssigned | uint64(shard)<<32 | uint64(uint32(slot))
-}
-
-func unpackTag(tag uint64) (shard int, slot int32) {
-	return int(tag >> 32 & 0x7fffffff), int32(uint32(tag))
-}
+func shardOf(w *window.Window) int { return int(w.Tag &^ tagAssigned) }
 
 // batchFor returns shard si's staging batch, starting a fresh one (from
 // the shard's recycle ring when possible) on demand.
@@ -191,8 +195,8 @@ func (pt *partitioner) flushAll() {
 }
 
 // ensureEvent stages ev into shard si's batch once per routed event and
-// returns its index; repeated memberships of one event on one shard
-// share the entry (stamp-based dedup, no map).
+// returns its index; the open op and the event op of one event on one
+// shard share the entry (stamp-based dedup, no map).
 func (pt *partitioner) ensureEvent(si int, ev event.Event) int32 {
 	if pt.evMark[si] == pt.evStamp {
 		return pt.evIdx[si]
@@ -216,64 +220,33 @@ func (pt *partitioner) stageOp(si int, op shardOp) {
 }
 
 // routeOne runs the windowing policy for one event and streams the
-// resulting ops to the owning shards. Caller holds pt.mu.
+// resulting ops to the owning shards. Route gives every open window a
+// membership, so the shards need only the event: routeOne stages one
+// event op per shard that owns an open window, and the ops around it
+// keep each shard's open windows at that op exactly the event's
+// memberships. Route reports its closes in the order it made them —
+// time expiry and the Close predicate before routing (those windows
+// hold no membership of ev), count closes after — so the first group is
+// staged before the open and the event op, the second after them; close
+// epochs follow that same order. Caller holds pt.mu.
 func (pt *partitioner) routeOne(ev event.Event) {
 	member, closedWins := pt.tracker.Route(ev)
 	pt.evStamp++
 	pt.lastTS = ev.TS
-	wantSample := pt.p.sampleLatency()
-	sampled := false
-	nshards := len(pt.p.shards)
-	for _, mb := range member {
-		w := mb.W
-		var si int
-		var slot int32
-		if w.Tag == 0 {
-			// First membership of a freshly opened window: place it on the
-			// least-loaded eligible shard (occupancy + backlog). Placement
-			// does not affect the output — positions and close epochs are
-			// decided here by the tracker regardless of where the payload
-			// window lives — so load-aware placement keeps shard=N output
-			// byte-identical to shard=1 while spreading skewed (hot)
-			// windows across cores instead of pinning windowID%N.
-			si = pt.placeShard(w, nshards)
-			slot = pt.takeSlot(si)
-			w.Tag = packTag(si, slot)
-			pt.p.shards[si].occupancy.Add(occWeight(w))
-			pt.stageOp(si, shardOp{
-				kind:  opOpen,
-				slot:  slot,
-				evIdx: pt.ensureEvent(si, ev),
-				a:     uint64(w.ID),
-				b:     uint64(w.ExpectedSize),
-			})
-		} else {
-			si, slot = unpackTag(w.Tag)
-		}
-		op := shardOp{
-			kind:  opMember,
-			slot:  slot,
-			pos:   int32(mb.Pos),
-			evIdx: pt.ensureEvent(si, ev),
-		}
-		if wantSample && !sampled {
-			op.kind |= opSampleFlag
-			sampled = true
-		}
-		pt.batchFor(si).members++
-		pt.p.shards[si].queued.Add(1)
-		pt.stageOp(si, op)
+	pre := len(closedWins)
+	for pre > 0 && closedWins[pre-1].Arrivals >= pt.countClose {
+		pre--
 	}
-	if wantSample && !sampled {
-		// The event belongs to no window, so no shard will time it;
-		// sample here so every 1-in-N event still contributes.
-		now := time.Now()
-		pt.p.mu.Lock()
-		pt.p.latency.Add(event.Time(now.UnixMicro()),
-			event.Time(now.Sub(pt.arrived).Microseconds()))
-		pt.p.mu.Unlock()
+	for _, w := range closedWins[:pre] {
+		pt.stageClose(w, ev.TS)
 	}
-	for _, w := range closedWins {
+	// Route opens at most one window per event, last in the membership
+	// list (open windows are kept in opening order).
+	if n := len(member); n > 0 && member[n-1].W.Tag == 0 {
+		pt.stageOpen(member[n-1].W, ev)
+	}
+	pt.stageEvent(ev)
+	for _, w := range closedWins[pre:] {
 		pt.stageClose(w, ev.TS)
 	}
 	if pt.stealThreshold > 0 {
@@ -284,6 +257,56 @@ func (pt *partitioner) routeOne(ev event.Event) {
 		}
 	}
 	pt.p.processed.Add(1)
+}
+
+// stageOpen places a freshly opened window on the least-loaded eligible
+// shard (occupancy + backlog) and stages its open op there. Placement
+// does not affect the output — opens, close epochs and (through the
+// shard's ascending-ID order) positions are the tracker's regardless of
+// where the payload window lives — so load-aware placement keeps
+// shard=N output byte-identical to shard=1 while spreading skewed (hot)
+// windows across cores instead of pinning windowID%N. Caller holds
+// pt.mu.
+func (pt *partitioner) stageOpen(w *window.Window, ev event.Event) {
+	si := pt.placeShard(w, len(pt.p.shards))
+	w.Tag = tagAssigned | uint64(si)
+	pt.owned[si]++
+	pt.p.shards[si].occupancy.Add(occWeight(w))
+	pt.stageOp(si, shardOp{
+		kind:  opOpen,
+		evIdx: pt.ensureEvent(si, ev),
+		win:   w.ID,
+		a:     uint64(w.ExpectedSize),
+	})
+}
+
+// stageEvent stages ev's event op on every shard that owns an open
+// window, counting its memberships (one per owned open window) into the
+// shard's backlog. The first such op carries the latency sample when ev
+// is sampled; an event in no window is timed here instead, so every
+// 1-in-N event still contributes. Caller holds pt.mu.
+func (pt *partitioner) stageEvent(ev event.Event) {
+	sample := pt.p.sampleLatency()
+	for si, n := range pt.owned {
+		if n == 0 {
+			continue
+		}
+		op := shardOp{kind: opEvent, evIdx: pt.ensureEvent(si, ev)}
+		if sample {
+			op.kind |= opSampleFlag
+			sample = false
+		}
+		pt.batchFor(si).members += n
+		pt.p.shards[si].queued.Add(int64(n))
+		pt.stageOp(si, op)
+	}
+	if sample {
+		now := time.Now()
+		pt.p.mu.Lock()
+		pt.p.latency.Add(event.Time(now.UnixMicro()),
+			event.Time(now.Sub(pt.arrived).Microseconds()))
+		pt.p.mu.Unlock()
+	}
 }
 
 // occWeight is a window's contribution to its owning shard's occupancy
@@ -335,19 +358,6 @@ func (pt *partitioner) placeShard(w *window.Window, nshards int) int {
 	return best
 }
 
-// takeSlot hands out a shard-local window slot, recycling freed ones.
-// Caller holds pt.mu.
-func (pt *partitioner) takeSlot(si int) int32 {
-	if free := pt.freeSlots[si]; len(free) > 0 {
-		slot := free[len(free)-1]
-		pt.freeSlots[si] = free[:len(free)-1]
-		return slot
-	}
-	slot := pt.nextSlot[si]
-	pt.nextSlot[si]++
-	return slot
-}
-
 // maybeSteal rebalances window ownership when the shard backlogs have
 // drifted apart by more than the steal threshold: one open,
 // not-yet-closing window moves from the most-backlogged shard to the
@@ -391,10 +401,7 @@ func (pt *partitioner) stealCandidate(victim int) *window.Window {
 	var cand *window.Window
 	var candScore int64
 	for _, w := range pt.tracker.OpenWindows() {
-		if w.Tag == 0 {
-			continue // not yet placed
-		}
-		if si, _ := unpackTag(w.Tag); si != victim {
+		if shardOf(w) != victim {
 			continue
 		}
 		var score int64
@@ -420,10 +427,11 @@ func (pt *partitioner) stealCandidate(victim int) *window.Window {
 // reassign moves one window from victim to thief: an evict op tells the
 // victim to push the window struct (buffered entries, counters, pool
 // entry and all) into the thief's steal ring, and an adopt op tells the
-// thief to receive it into a fresh local slot. Both shards replay their
-// op streams in FIFO order, so every membership staged before the steal
-// is applied by the victim and every one staged after it by the thief —
-// the entry order inside the window is exactly the serial pipeline's.
+// thief to receive it and re-insert it among its open windows by ID.
+// Both shards replay their op streams in FIFO order, so every event op
+// staged before the steal reaches the window on the victim and every
+// one staged after it on the thief — the window's arrivals, and so its
+// positions and entry order, are exactly the serial pipeline's.
 // The evict is flushed immediately: the thief blocks on the ring when
 // it reaches the adopt, and leaving the evict parked in the partitioner
 // while a submitter blocks on the thief's full input queue would
@@ -432,36 +440,33 @@ func (pt *partitioner) stealCandidate(victim int) *window.Window {
 // on earlier ops — so the earliest unprocessed op can always run and
 // the steal protocol cannot deadlock.) Caller holds pt.mu.
 func (pt *partitioner) reassign(w *window.Window, victim, thief int) {
-	_, vslot := unpackTag(w.Tag)
-	pt.stageOp(victim, shardOp{kind: opEvict, slot: vslot, a: uint64(thief)})
+	pt.stageOp(victim, shardOp{kind: opEvict, win: w.ID, a: uint64(thief)})
 	pt.flushShard(victim)
-	pt.freeSlots[victim] = append(pt.freeSlots[victim], vslot)
-	tslot := pt.takeSlot(thief)
-	w.Tag = packTag(thief, tslot)
+	w.Tag = tagAssigned | uint64(thief)
+	pt.owned[victim]--
+	pt.owned[thief]++
 	weight := occWeight(w)
 	pt.p.shards[victim].occupancy.Add(-weight)
 	pt.p.shards[thief].occupancy.Add(weight)
 	pt.p.shards[thief].pendingAdopts.Add(1)
-	pt.stageOp(thief, shardOp{kind: opAdopt, slot: tslot})
+	pt.stageOp(thief, shardOp{kind: opAdopt})
 }
 
 // stageClose emits the close op for a tracker-closed window, assigns its
 // merge epoch (global close order — exactly the serial pipeline's
-// emission order), recycles its shard slot and hands the tracker window
-// back to the tracker's pool. The slot may be reused by a later open:
-// the shard replays its op stream in order, so the reopen cannot
-// overtake the close. Caller holds pt.mu.
+// emission order) and hands the tracker window back to the tracker's
+// pool. Caller holds pt.mu.
 func (pt *partitioner) stageClose(w *window.Window, now event.Time) {
-	si, slot := unpackTag(w.Tag)
+	si := shardOf(w)
 	pt.stageOp(si, shardOp{
 		kind: opClose,
-		slot: slot,
+		win:  w.ID,
 		a:    pt.epoch,
 		b:    uint64(now),
 	})
 	pt.epoch++
+	pt.owned[si]--
 	pt.p.shards[si].occupancy.Add(-occWeight(w))
-	pt.freeSlots[si] = append(pt.freeSlots[si], slot)
 	pt.tracker.Release(w)
 }
 

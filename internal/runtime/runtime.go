@@ -415,9 +415,10 @@ func New(cfg Config) (*Pipeline, error) {
 		if maxMatches <= 0 {
 			maxMatches = 1
 		}
-		// Each shard queue holds op batches of up to opsFlushBatch
-		// memberships; sizing it as the shard's event-share divided by
-		// the batch size keeps the aggregate backlog bound near QueueCap.
+		// Each shard queue holds op batches of up to opsFlushBatch ops,
+		// about one per routed event; sizing it as the shard's event-share
+		// divided by the batch size keeps the aggregate backlog bound near
+		// QueueCap events.
 		batchCap := cfg.QueueCap / cfg.Shards / opsFlushBatch
 		if batchCap < 8 {
 			batchCap = 8

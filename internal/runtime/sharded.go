@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +19,9 @@ import (
 // partitioner assigned to it — open, membership add, shed decision,
 // close, matching and pool recycling all happen on the shard goroutine,
 // against shard-local state — and it replays the partitioner's compiled
-// op stream in FIFO order, which is what makes slot recycling and the
-// per-window open→member→close ordering safe without locks.
+// op stream in FIFO order, which is what makes the per-window
+// open→event→close ordering, and so every position it hands out, the
+// serial pipeline's without locks.
 type shard struct {
 	id      int
 	pipe    *Pipeline        // back-pointer for panic containment (guard.go)
@@ -47,10 +50,12 @@ type shard struct {
 	tap   *operator.FeedbackTap
 	delay time.Duration
 
-	// wins maps partitioner-assigned slots to the shard's live windows;
-	// pool recycles them shard-locally, so no closed window is ever lost
-	// to a full cross-goroutine release channel again.
-	wins []*window.Window
+	// open holds the shard's open windows in ascending window ID — the
+	// tracker's membership order, so an event op visits them in the
+	// serial operator's order; pool recycles them shard-locally, so no
+	// closed window is ever lost to a full cross-goroutine release
+	// channel.
+	open []*window.Window
 	pool window.Pool
 
 	// latBuf collects the batch's latency samples; they fold into the
@@ -105,11 +110,31 @@ func (s *shard) snapshot() ShardStats {
 // locally before folding them into the shedder's shared atomic counters.
 const tallyFlushBatch = 1024
 
-// ensureSlot grows the window slot array to cover slot.
-func (s *shard) ensureSlot(slot int) {
-	for len(s.wins) <= slot {
-		s.wins = append(s.wins, nil)
+// search finds window id among the shard's open windows: its index, or
+// where it would be inserted.
+func (s *shard) search(id window.ID) (int, bool) {
+	return slices.BinarySearchFunc(s.open, id, func(w *window.Window, id window.ID) int {
+		return cmp.Compare(w.ID, id)
+	})
+}
+
+// insert adds w to the shard's open windows, keeping ascending ID order.
+func (s *shard) insert(w *window.Window) {
+	i, _ := s.search(w.ID)
+	s.open = slices.Insert(s.open, i, w)
+}
+
+// take removes window id from the shard's open windows and returns it;
+// nil when the shard does not hold it (its adopt was aborted
+// mid-teardown).
+func (s *shard) take(id window.ID) *window.Window {
+	i, ok := s.search(id)
+	if !ok {
+		return nil
 	}
+	w := s.open[i]
+	s.open = slices.Delete(s.open, i, i+1)
+	return w
 }
 
 // run drains the shard's batch queue until the partitioner closes it.
@@ -151,11 +176,7 @@ func (s *shard) drainBatch(b *shardBatch) {
 	for _, op := range b.ops {
 		switch op.kind & opKindMask {
 		case opEvict:
-			var w *window.Window
-			if int(op.slot) < len(s.wins) {
-				w, s.wins[op.slot] = s.wins[op.slot], nil
-			}
-			s.pipe.shards[op.a].adopt <- w
+			s.pipe.shards[op.a].adopt <- s.take(op.win)
 		case opAdopt:
 			select {
 			case <-s.adopt:
@@ -188,26 +209,26 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 	haveOut := false
 	for _, op := range b.ops {
 		switch op.kind & opKindMask {
-		case opMember:
-			w := s.wins[op.slot]
-			if w == nil {
-				continue // adopt aborted mid-teardown; pipeline is dying
-			}
-			w.Arrivals++
-			members++
+		case opEvent:
+			// One membership per open window, positions handed out here:
+			// each window has seen exactly the tracker's arrivals.
 			ev := b.events[op.evIdx]
-			dropped := operator.ShedDecision(s.decider, s.batched, ev.Type, int(op.pos),
-				w.ExpectedSize, decisions, drops)
-			if dropped {
-				w.Dropped++
-				shed++
-			} else {
-				w.Add(ev, int(op.pos))
-				kept++
-				if s.delay > 0 {
-					time.Sleep(s.delay)
+			for _, w := range s.open {
+				pos := w.Arrivals
+				w.Arrivals++
+				if operator.ShedDecision(s.decider, s.batched, ev.Type, pos,
+					w.ExpectedSize, decisions, drops) {
+					w.Dropped++
+					shed++
+				} else {
+					w.Add(ev, pos)
+					kept++
+					if s.delay > 0 {
+						time.Sleep(s.delay)
+					}
 				}
 			}
+			members += uint64(len(s.open))
 			if op.kind&opSampleFlag != 0 {
 				now := time.Now()
 				s.latBuf = append(s.latBuf, latSample{
@@ -218,15 +239,13 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 		case opOpen:
 			w := s.pool.Get()
 			ev := b.events[op.evIdx]
-			w.ID = window.ID(op.a)
+			w.ID = op.win
 			w.OpenSeq = ev.Seq
 			w.OpenTS = ev.TS
-			w.ExpectedSize = int(op.b)
-			s.ensureSlot(int(op.slot))
-			s.wins[op.slot] = w
+			w.ExpectedSize = int(op.a)
+			s.insert(w)
 		case opClose:
-			w := s.wins[op.slot]
-			s.wins[op.slot] = nil
+			w := s.take(op.win)
 			if w == nil {
 				continue // adopt aborted mid-teardown; merger emits the prefix
 			}
@@ -241,28 +260,24 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 		case opEvict:
 			// Ownership handoff, donor side: push the window — buffered
 			// entries, counters and its pool entry — to the thief's steal
-			// ring and forget it. Future ops for this window (memberships,
+			// ring and forget it. Future ops for this window (events,
 			// close) were staged to the thief after its adopt op.
-			w := s.wins[op.slot]
-			s.wins[op.slot] = nil
-			s.pipe.shards[op.a].adopt <- w
+			s.pipe.shards[op.a].adopt <- s.take(op.win)
 		case opAdopt:
-			// Ownership handoff, thief side: receive the stolen window into
-			// a fresh local slot. Blocks until the donor processes its evict
-			// (always strictly earlier in staging order, so this cannot
-			// deadlock); the abort channel breaks the wait if the pipeline
-			// dies with the evict unflushed.
-			var w *window.Window
+			// Ownership handoff, thief side: receive the stolen window and
+			// re-insert it by ID. Blocks until the donor processes its
+			// evict (always strictly earlier in staging order, so this
+			// cannot deadlock); the abort channel breaks the wait if the
+			// pipeline dies with the evict unflushed.
 			select {
-			case w = <-s.adopt:
+			case w := <-s.adopt:
 				s.pendingAdopts.Add(-1)
 				if w != nil {
 					s.steals.Add(1)
+					s.insert(w)
 				}
 			case <-s.pipe.abort:
 			}
-			s.ensureSlot(int(op.slot))
-			s.wins[op.slot] = w
 		}
 	}
 	s.memberships.Add(members)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,6 +143,87 @@ func TestShardedLatencySamples(t *testing.T) {
 	}
 	if got := p.Latency().Len(); got != len(events) {
 		t.Errorf("latency samples = %d, want %d", got, len(events))
+	}
+}
+
+// TestShardOpsPerEvent pins the op stream's unit: a shard receives one
+// op per event routed to it, not one per membership. Every event of the
+// stream joins k overlapping count windows spread over two shards, and
+// each shard's queue is drained by the test instead of the shard, so
+// the ops are counted exactly as the partitioner staged them: per shard,
+// ops = events routed there + opens + closes, while the batches still
+// account k memberships per event for the backlog.
+func TestShardOpsPerEvent(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const k = 8
+	spec := window.Spec{Mode: window.ModeCount, Count: k, Slide: 1}
+	events := deterministicStream(3000)
+	ref, err := window.NewManager(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memberships := 0
+	for _, ev := range events {
+		m, _ := ref.Route(ev)
+		memberships += len(m)
+	}
+	ref.Flush()
+
+	opCfg := opConfig(nil)
+	opCfg.Window = spec
+	p, err := New(Config{Operator: opCfg, Shards: 2, stealThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tally struct{ ops, events, opens, closes, members int }
+	tallies := make([]tally, len(p.shards))
+	var wg sync.WaitGroup
+	for i, s := range p.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := &tallies[i]
+			for b := range s.in {
+				tl.ops += len(b.ops)
+				tl.members += b.members
+				routed := map[uint64]bool{}
+				for _, op := range b.ops {
+					switch op.kind & opKindMask {
+					case opOpen:
+						tl.opens++
+					case opClose:
+						tl.closes++
+					default:
+						routed[b.events[op.evIdx].Seq] = true
+					}
+				}
+				tl.events += len(routed)
+			}
+		}()
+	}
+	p.SubmitBatch(events)
+	p.CloseInput()
+	wg.Wait()
+
+	var opens, closes, members int
+	for i, tl := range tallies {
+		if tl.events == 0 {
+			t.Errorf("shard %d: no events routed; bad test setup", i)
+		}
+		if tl.ops != tl.events+tl.opens+tl.closes {
+			t.Errorf("shard %d: %d ops for %d events, %d opens and %d closes: the stream carries per-membership ops",
+				i, tl.ops, tl.events, tl.opens, tl.closes)
+		}
+		opens += tl.opens
+		closes += tl.closes
+		members += tl.members
+	}
+	if uint64(opens) != ref.TotalOpened() || uint64(closes) != ref.TotalClosed() {
+		t.Errorf("staged %d opens and %d closes, want %d and %d",
+			opens, closes, ref.TotalOpened(), ref.TotalClosed())
+	}
+	if members != memberships {
+		t.Errorf("batches account %d memberships, want %d (k=%d per event)", members, memberships, k)
 	}
 }
 

@@ -908,6 +908,9 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 	// flush journals (when configured) and submits the batch; a false
 	// return means the connection must drop: the journal refused the
 	// batch (unacknowledged), or the producer did not take a status line.
+	// The bad-line paths flush the lines before the bad one and return on
+	// a false result too: in stream order the journal fault came first,
+	// so it is the one error the producer gets.
 	flush := func() bool {
 		if len(batch) == 0 {
 			return true
@@ -961,7 +964,9 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 		s.armIdle(conn)
 		line, err := readLineBounded(br, &lineBuf, s.cfg.MaxFrame)
 		if err == errLineTooLong {
-			flush()
+			if !flush() {
+				return nil
+			}
 			s.protoErrs.Add(1)
 			s.logf("transport: %s: ndjson line exceeds %d bytes", conn.RemoteAddr(), s.cfg.MaxFrame)
 			s.ndjsonError(conn, "line too long")
@@ -993,7 +998,9 @@ func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
 			firstLine = false
 			ev, perr := decodeNDJSONLine(trimmed, s.cfg.Registry)
 			if perr != nil {
-				flush()
+				if !flush() {
+					return nil
+				}
 				s.protoErrs.Add(1)
 				s.logf("transport: %s: %v", conn.RemoteAddr(), perr)
 				s.ndjsonError(conn, perr.Error())

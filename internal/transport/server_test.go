@@ -3,6 +3,7 @@ package transport
 import (
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,6 +279,39 @@ func TestServerNDJSONError(t *testing.T) {
 	// The valid line before the malformed one is still delivered.
 	if got := len(sink.snapshot()); got != 1 {
 		t.Fatalf("delivered %d events, want 1", got)
+	}
+}
+
+// TestServerNDJSONErrorAfterJournalFault pins the order of faults in one
+// read: when the journal fail-stops on the lines before a malformed
+// line, the producer gets the journal's error line alone — the
+// connection drops there, as on the binary path — and the malformed
+// line counts no protocol error, because it was never reached.
+func TestServerNDJSONErrorAfterJournalFault(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	sink := &collectSink{}
+	srv := startServer(t, ServerConfig{Sink: sink, Journal: &memJournal{failAt: 1}})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("{\"seq\":0,\"type\":0,\"ts\":1}\nnot json\n")); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(reply), "\n"), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], errJournalDown.Error()) {
+		t.Fatalf("reply %q, want the journal's error line alone", reply)
+	}
+	if n := srv.Stats().ProtocolErrors; n != 0 {
+		t.Errorf("ProtocolErrors = %d after a journal fault, want 0", n)
+	}
+	if got := len(sink.snapshot()); got != 0 {
+		t.Errorf("delivered %d events the journal refused", got)
 	}
 }
 

@@ -128,10 +128,10 @@ type Window struct {
 	// window size must be predicted to compute relative positions).
 	ExpectedSize int
 
-	// Tag is deployment scratch: the sharded runtime's partitioner packs
-	// the owning shard and its window-slot index here so per-membership
-	// routing needs no map lookup. The window package never reads it;
-	// Release and Pool.Put zero it with the rest of the struct.
+	// Tag is deployment scratch: the sharded runtime's partitioner
+	// records the owning shard here so routing a close or a steal needs
+	// no map lookup. The window package never reads it; Release and
+	// Pool.Put zero it with the rest of the struct.
 	Tag uint64
 
 	Kept     []Entry
