@@ -83,7 +83,7 @@ fuzz-smoke:
 #   releaseSlots), mid-message containment, submit-shape equivalence,
 #   the overload cells (the control loop must fire at both), the
 #   backlog table, and the sharded path — partitioner, shard replay,
-#   steal handoffs, epoch merge and the serial = sharded sweeps;
+#   epoch merge and the serial = sharded sweeps;
 # - engine (race): the fan-out on the submitters' goroutines — start
 #   gate, total order, Register/Deregister interleavings;
 # - transport (race): the client's per-connection writer (what a write
@@ -92,7 +92,7 @@ fuzz-smoke:
 #   the run semantics and the frame fuzzer's seed corpus;
 # - chaos (race): a sink panic contained by the server.
 stress:
-	$(GO) test -race -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents|Sharded|Steal' ./internal/runtime
+	$(GO) test -race -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents|Sharded' ./internal/runtime
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SubmitBeforeRun|TotalOrder|EngineEquivalence|DeregisterUnderLiveTraffic|ConcurrentRegisterSubmit|ShardedPoolChurn' ./internal/engine
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Client|Coalesc|LoneBatch|Resync|Durable|Equiv|^TestRun|^FuzzServerFrame$$' ./internal/transport
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SinkPanic' ./internal/chaos

@@ -179,7 +179,7 @@ func skewWindowSpec() WindowSpec {
 // windows. Hot window ordinals are ≡ 0 (mod 20), so under a static
 // windowID%N placement every hot window of a 2-, 4- or 8-shard
 // deployment lands on the same shard — the degenerate case load-aware
-// placement and work stealing exist to fix.
+// placement exists to fix.
 func hotWindowEvents(n int) []Event {
 	const (
 		cold     = 8
@@ -226,19 +226,23 @@ func zipfWindowEvents(n int) []Event {
 	return events
 }
 
-// BenchmarkPipelineShards measures the live pipeline in three regimes.
-// The delayed variants grow the shard count under
-// ProcessingDelay-induced load: each kept membership costs a fixed
+// BenchmarkPipelineShards measures the live pipeline in two regimes.
+//
+// The delayed families (shards=N, skew/{hotwindow,zipf}/shards=N)
+// measure blocking-operator overlap: each kept membership costs a fixed
 // sleep, so the serial pipeline is capped at 1/delay memberships per
 // second while N shards overlap N sleeps — throughput should scale
-// near-linearly from 1 to 4 shards. The nodelay variants run the raw
-// data path (overlapping count windows, 8 memberships per event) at
-// full speed, so ns/op and allocs/op reflect the real per-event cost of
-// routing, shedding, buffering and matching. The skew variants route
-// hot-window and Zipf-sized tumbling windows under the same delay: they
-// measure how well load-aware placement and work stealing keep skewed
-// streams scaling (cmd/benchjson compare gates kept_ev/s monotonicity
-// per variant when the machine has >= 4 procs).
+// near-linearly from 1 to 4 shards. The skew variants route hot-window
+// and Zipf-sized tumbling windows under that delay and so measure how
+// well load-aware placement keeps skewed streams overlapping
+// (cmd/benchjson compare gates kept_ev/s monotonicity per variant when
+// the machine has >= 4 procs).
+//
+// The nodelay families (nodelay/shards=N, nodelay/skew/...) measure CPU:
+// the same data paths at full speed, so ns/op and allocs/op reflect the
+// real per-event cost of routing, shedding, buffering and matching.
+// nodelay/shards=N uses overlapping count windows (8 memberships per
+// event); nodelay/skew uses the skew streams and windows unchanged.
 func BenchmarkPipelineShards(b *testing.B) {
 	const delay = 50 * time.Microsecond
 	run := func(b *testing.B, shards int, d time.Duration, spec WindowSpec, events []Event) {
@@ -302,6 +306,11 @@ func BenchmarkPipelineShards(b *testing.B) {
 		for _, shards := range shardCounts {
 			b.Run(fmt.Sprintf("skew/%s/shards=%d", sk.name, shards), func(b *testing.B) {
 				run(b, shards, delay, skewWindowSpec(), sk.gen(b.N))
+			})
+		}
+		for _, shards := range shardCounts {
+			b.Run(fmt.Sprintf("nodelay/skew/%s/shards=%d", sk.name, shards), func(b *testing.B) {
+				run(b, shards, 0, skewWindowSpec(), sk.gen(b.N))
 			})
 		}
 	}

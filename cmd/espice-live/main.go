@@ -3,9 +3,9 @@
 // latency and quality statistics — a wall-clock counterpart to the
 // deterministic simulator used by espice-bench. With -shards > 1 the
 // pipeline runs as a sharded multi-operator deployment: windows are
-// placed on the least-loaded of the parallel operator instances (and
-// re-balanced by work stealing under skew), each with its own load
-// shedder, all commanded in lockstep by one overload detector.
+// placed on the least-loaded of the parallel operator instances, each
+// with its own load shedder, all commanded in lockstep by one overload
+// detector.
 package main
 
 import (
@@ -277,8 +277,8 @@ func runLive(opts liveOpts, w io.Writer) (*liveResult, error) {
 		st.Operator.MembershipsShed, st.Operator.Memberships,
 		100*float64(st.Operator.MembershipsShed)/float64(max(1, st.Operator.Memberships)))
 	for i, ss := range st.Shards {
-		fmt.Fprintf(w, "  shard %d: %d memberships, %d kept, %d shed, %d windows, %d complex events, %d pool misses, %d steals, occupancy %d (th ~%.0f ev/s)\n",
-			i, ss.Memberships, ss.Kept, ss.Shed, ss.WindowsClosed, ss.ComplexEvents, ss.PoolMisses, ss.Steals, ss.Occupancy, ss.Throughput)
+		fmt.Fprintf(w, "  shard %d: %d memberships, %d kept, %d shed, %d windows, %d complex events, %d pool misses, occupancy %d (th ~%.0f ev/s)\n",
+			i, ss.Memberships, ss.Kept, ss.Shed, ss.WindowsClosed, ss.ComplexEvents, ss.PoolMisses, ss.Occupancy, ss.Throughput)
 	}
 	if st.Lifecycle != nil {
 		ls := st.Lifecycle

@@ -131,15 +131,14 @@ func liftChaos(doc []byte) *chaosSummary {
 	return probe.Chaos
 }
 
-// scalingSummary lifts the server's skew-aware scale-out counters —
-// work-stealing handoffs, the partitioner's live occupancy estimate and
-// the per-shard backlog — out of the stats document into the artifact's
-// top level, so a CI run shows at a glance whether a skewed stream was
-// balanced across shards or pinned to one.
+// scalingSummary lifts the server's skew-aware scale-out counters — the
+// partitioner's live occupancy estimate and the per-shard backlog — out
+// of the stats document into the artifact's top level, so a CI run
+// shows at a glance whether a skewed stream was balanced across shards
+// or pinned to one.
 type scalingSummary struct {
-	Steals       uint64 `json:"steals"`
-	Occupancy    int64  `json:"occupancy"`
-	ShardBacklog []int  `json:"shard_backlog,omitempty"`
+	Occupancy    int64 `json:"occupancy"`
+	ShardBacklog []int `json:"shard_backlog,omitempty"`
 }
 
 // liftScaling extracts the scale-out counters from the server stats
@@ -152,7 +151,7 @@ func liftScaling(doc []byte) *scalingSummary {
 	if err := json.Unmarshal(doc, &probe); err != nil {
 		return nil
 	}
-	if probe.Steals == 0 && probe.Occupancy == 0 && len(probe.ShardBacklog) == 0 {
+	if probe.Occupancy == 0 && len(probe.ShardBacklog) == 0 {
 		return nil
 	}
 	return &probe

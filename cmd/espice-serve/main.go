@@ -574,13 +574,12 @@ type serveStats struct {
 	Kept          uint64                `json:"kept"`
 	Shed          uint64                `json:"shed"`
 	ComplexEvents uint64                `json:"complex_events"`
-	// Steals and Occupancy expose the skew-aware scale-out state:
-	// windows adopted via work stealing (summed over shards, and over
-	// queries in engine mode) and the partitioner's live placement
-	// estimate. ShardBacklog is the per-shard staged-membership backlog
-	// of the sharded pipeline (absent in engine and serial modes) —
-	// together they show whether a skewed stream is balanced or pinned.
-	Steals       uint64                 `json:"steals"`
+	// Occupancy exposes the skew-aware scale-out state: the
+	// partitioner's live placement estimate, summed over shards (and
+	// over queries in engine mode). ShardBacklog is the per-shard
+	// staged-membership backlog of the sharded pipeline (absent in
+	// engine and serial modes) — together they show whether a skewed
+	// stream is balanced or pinned.
 	Occupancy    int64                  `json:"occupancy"`
 	ShardBacklog []int                  `json:"shard_backlog,omitempty"`
 	Latency      metrics.LatencySummary `json:"latency"`
@@ -682,7 +681,6 @@ func (app *serveApp) stats() serveStats {
 		st.QueueLen = ps.QueueLen
 		for _, ss := range ps.Shards {
 			st.PoolMisses += ss.PoolMisses
-			st.Steals += ss.Steals
 			st.Occupancy += ss.Occupancy
 			st.ShardBacklog = append(st.ShardBacklog, ss.QueueLen)
 		}
@@ -701,7 +699,6 @@ func (app *serveApp) stats() serveStats {
 		st.QueueLen += qs.Pipeline.QueueLen
 		for _, ss := range qs.Pipeline.Shards {
 			st.PoolMisses += ss.PoolMisses
-			st.Steals += ss.Steals
 			st.Occupancy += ss.Occupancy
 		}
 		st.Memberships += qs.Pipeline.Operator.Memberships

@@ -40,8 +40,8 @@ type propWorkload struct {
 // a Close predicate that seals every open window before routing the
 // closing event. Bursty streams pack most events into dense clusters
 // separated by long quiet gaps, so time-based windows opened inside a
-// burst are far larger than the rest — the hot-window skew the
-// work-stealing path rebalances.
+// burst are far larger than the rest — the hot-window skew load-aware
+// placement spreads.
 func makeWorkload(seed uint64, nEvents int) propWorkload {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	w := propWorkload{shed: rng.Intn(2) == 0}
@@ -134,11 +134,8 @@ func streamSignature(ces []operator.ComplexEvent) string {
 // predicate — so closes staged both before and after a shard's event op
 // — skewed and uniform arrivals, with and without shedding), every
 // sharded pipeline in {2,4,8} emits a byte-identical
-// complex-event stream to the serial pipeline — with work stealing
-// disabled and with it forced aggressive (threshold 1 plus a small
-// processing delay so backlogs actually build and windows actually
-// move). Run with -race to exercise the partitioner, shard, steal-ring
-// and epoch-merge handoffs.
+// complex-event stream to the serial pipeline. Run with -race to
+// exercise the partitioner, shard and epoch-merge handoffs.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	for seed := uint64(1); seed <= 9; seed++ { // seed 9 draws the predicate geometry
@@ -150,18 +147,12 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				t.Skip("workload detects nothing; equivalence would be vacuous")
 			}
 			for _, shards := range []int{2, 4, 8} {
-				for _, steal := range []int{-1, 1} {
-					cfg := w.config()
-					cfg.Shards = shards
-					cfg.stealThreshold = steal
-					if steal > 0 {
-						cfg.ProcessingDelay = 5 * time.Microsecond
-					}
-					sharded, _ := runCollect(t, cfg, w.events)
-					if got := streamSignature(sharded); got != want {
-						t.Errorf("shards=%d/steal=%d: stream differs from serial (%d vs %d complex events)",
-							shards, steal, len(sharded), len(serial))
-					}
+				cfg := w.config()
+				cfg.Shards = shards
+				sharded, _ := runCollect(t, cfg, w.events)
+				if got := streamSignature(sharded); got != want {
+					t.Errorf("shards=%d: stream differs from serial (%d vs %d complex events)",
+						shards, len(sharded), len(serial))
 				}
 			}
 		})
@@ -240,27 +231,26 @@ func TestSerialSubmitShapeEquivalence(t *testing.T) {
 // FuzzShardedEquivalence lets the fuzzer search the workload space —
 // including the skewed (bursty) arrival flavor baked into makeWorkload
 // — for any divergence between the serial pipeline and a 4-shard
-// deployment, with work stealing either disabled or forced aggressive.
+// deployment, at full speed or with a small processing delay that lets
+// shard backlogs build and so steers placement.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(300), false)
 	f.Add(uint64(7), uint16(900), true) // predicate geometry
 	f.Add(uint64(42), uint16(512), true)
 	f.Add(uint64(4), uint16(700), false) // predicate geometry
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, steal bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, delay bool) {
 		nEvents := int(n)%1000 + 50 // bound the per-input cost
 		w := makeWorkload(seed, nEvents)
 		serial, _ := runCollect(t, w.config(), w.events)
 		cfg := w.config()
 		cfg.Shards = 4
-		cfg.stealThreshold = -1
-		if steal {
-			cfg.stealThreshold = 1
+		if delay {
 			cfg.ProcessingDelay = 5 * time.Microsecond
 		}
 		sharded, _ := runCollect(t, cfg, w.events)
 		if want, got := streamSignature(serial), streamSignature(sharded); got != want {
-			t.Fatalf("%s steal=%v: sharded stream differs from serial (%d vs %d complex events)",
-				w.label, steal, len(sharded), len(serial))
+			t.Fatalf("%s delay=%v: sharded stream differs from serial (%d vs %d complex events)",
+				w.label, delay, len(sharded), len(serial))
 		}
 	})
 }

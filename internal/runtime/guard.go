@@ -69,10 +69,6 @@ func (p *Pipeline) Trip(v any) *PanicError {
 		return p.panicErr.Load()
 	}
 	p.failed.Store(true)
-	// A dying sharded pipeline may strand a steal handoff (the panic
-	// unwound past an evict, or a drained batch dropped one); release
-	// any shard blocked on its ring so teardown cannot deadlock.
-	p.abortSteals()
 	if p.cfg.OnPanic != nil {
 		p.cfg.OnPanic(pe)
 	}

@@ -17,32 +17,9 @@ const (
 	opEvent = 0 // route evIdx into every open window the shard owns, positions assigned there
 	opOpen  = 1 // open window win: a = expected size, evIdx = opening event
 	opClose = 2 // close window win: a = merge epoch, b = close timestamp
-	opEvict = 3 // hand window win to shard a's steal ring (work stealing)
-	opAdopt = 4 // receive a stolen window from the steal ring
 
 	opKindMask   = 0x7f
 	opSampleFlag = 1 << 7
-)
-
-// Work-stealing tuning. A steal moves one whole window — its buffered
-// state, identity and pool entry — from the most-backlogged shard to
-// the least-loaded one via the thief's steal ring (see reassign).
-const (
-	// defaultStealThreshold is the backlog imbalance (staged
-	// memberships, most- minus least-loaded shard) that triggers a
-	// steal.
-	defaultStealThreshold = 2048
-	// stealCheckEvery amortizes the imbalance check: the partitioner
-	// examines shard backlogs once per this many routed events, which
-	// doubles as the hysteresis cooldown — at most one window moves per
-	// check, so ownership cannot flap faster than the backlog actually
-	// evolves.
-	stealCheckEvery = 128
-	// stealRingCap sizes each shard's adopt ring. At most one steal per
-	// thief is outstanding at a time (pendingAdopts), so a capacity of 2
-	// guarantees the victim's ring push never blocks, even after an
-	// abort leaves an unconsumed entry behind.
-	stealRingCap = 2
 )
 
 // shardOp is one decoded instruction for a shard. The partitioner runs
@@ -57,7 +34,7 @@ const (
 type shardOp struct {
 	kind  uint8
 	evIdx int32     // index into the batch's events array (opEvent, opOpen)
-	win   window.ID // target window (opOpen, opClose, opEvict)
+	win   window.ID // target window (opOpen, opClose)
 	a     uint64
 	b     uint64
 }
@@ -91,8 +68,9 @@ const opsFlushBatch = 512
 // operator's manager does, but its windows carry no payload — events
 // are never Added to them. The payload windows live in the shards, each
 // shard's open ones in ascending window ID, and a window's whole life
-// (open, add, shed, close, match, recycle) happens on its owning shard's
-// goroutine. tracker windows are recycled through the manager's own
+// (open, add, shed, close, match, recycle) happens on the goroutine of
+// the shard placeShard picked at its open: windows never change shard,
+// so no shard ever waits on another. tracker windows are recycled through the manager's own
 // pool the moment their close op is emitted.
 type partitioner struct {
 	p  *Pipeline
@@ -114,11 +92,6 @@ type partitioner struct {
 	arrived time.Time  // arrival time of the submit call being staged
 	lastTS  event.Time // latest routed event timestamp (flush close time)
 
-	// Work stealing: sinceSteal counts routed events since the last
-	// imbalance check; stealThreshold < 0 disables stealing.
-	sinceSteal     int
-	stealThreshold int
-
 	closed   bool        // input sealed; shard channels are closed
 	canceled atomic.Bool // Run's context ended; drop instead of send
 	done     chan struct{}
@@ -135,15 +108,14 @@ func newPartitioner(p *Pipeline, spec window.Spec) (*partitioner, error) {
 	}
 	n := len(p.shards)
 	return &partitioner{
-		p:              p,
-		tracker:        tracker,
-		countClose:     countClose,
-		staged:         make([]*shardBatch, n),
-		owned:          make([]int, n),
-		evMark:         make([]uint64, n),
-		evIdx:          make([]int32, n),
-		stealThreshold: p.cfg.stealThreshold,
-		done:           make(chan struct{}),
+		p:          p,
+		tracker:    tracker,
+		countClose: countClose,
+		staged:     make([]*shardBatch, n),
+		owned:      make([]int, n),
+		evMark:     make([]uint64, n),
+		evIdx:      make([]int32, n),
+		done:       make(chan struct{}),
 	}, nil
 }
 
@@ -249,18 +221,11 @@ func (pt *partitioner) routeOne(ev event.Event) {
 	for _, w := range closedWins[pre:] {
 		pt.stageClose(w, ev.TS)
 	}
-	if pt.stealThreshold > 0 {
-		pt.sinceSteal++
-		if pt.sinceSteal >= stealCheckEvery {
-			pt.sinceSteal = 0
-			pt.maybeSteal()
-		}
-	}
 	pt.p.processed.Add(1)
 }
 
-// stageOpen places a freshly opened window on the least-loaded eligible
-// shard (occupancy + backlog) and stages its open op there. Placement
+// stageOpen places a freshly opened window on the least-occupied shard
+// (see placeShard) and stages its open op there. Placement
 // does not affect the output — opens, close epochs and (through the
 // shard's ascending-ID order) positions are the tracker's regardless of
 // where the payload window lives — so load-aware placement keeps
@@ -311,8 +276,8 @@ func (pt *partitioner) stageEvent(ev event.Event) {
 
 // occWeight is a window's contribution to its owning shard's occupancy
 // estimate: the expected in-flight work it represents. It must be
-// stable over the window's life (added at placement, moved on steal,
-// subtracted at close), so it derives only from ExpectedSize, which the
+// stable over the window's life (added at placement, subtracted at
+// close), so it derives only from ExpectedSize, which the
 // tracker fixes at open time.
 func occWeight(w *window.Window) int64 {
 	if w.ExpectedSize > 0 {
@@ -356,100 +321,6 @@ func (pt *partitioner) placeShard(w *window.Window, nshards int) int {
 		}
 	}
 	return best
-}
-
-// maybeSteal rebalances window ownership when the shard backlogs have
-// drifted apart by more than the steal threshold: one open,
-// not-yet-closing window moves from the most-backlogged shard to the
-// least-backlogged one. At most one steal per thief is in flight at a
-// time (pendingAdopts), and checks run once per stealCheckEvery routed
-// events, so ownership cannot flap. Caller holds pt.mu.
-func (pt *partitioner) maybeSteal() {
-	shards := pt.p.shards
-	victim, thief := 0, 0
-	maxQ, minQ := int64(-1), int64(1)<<62
-	for i, s := range shards {
-		q := s.queued.Load()
-		if q > maxQ {
-			victim, maxQ = i, q
-		}
-		if q < minQ {
-			thief, minQ = i, q
-		}
-	}
-	if victim == thief || maxQ-minQ <= int64(pt.stealThreshold) {
-		return
-	}
-	if shards[thief].pendingAdopts.Load() != 0 {
-		return // previous steal to this thief still in flight
-	}
-	if w := pt.stealCandidate(victim); w != nil {
-		pt.reassign(w, victim, thief)
-	}
-}
-
-// stealCandidate picks the victim's open window with the most expected
-// remaining work, skipping windows about to close — a handoff is only
-// worth its evict/adopt rendezvous if future memberships follow it to
-// the thief. Count-based windows close by arrivals, so "about to
-// close" means most of Count is already consumed; time-based windows
-// close by the clock, so the candidate is the arrival-heaviest window
-// (the hot one) provided at least a quarter of its span remains.
-// Caller holds pt.mu.
-func (pt *partitioner) stealCandidate(victim int) *window.Window {
-	spec := pt.tracker.Spec()
-	var cand *window.Window
-	var candScore int64
-	for _, w := range pt.tracker.OpenWindows() {
-		if shardOf(w) != victim {
-			continue
-		}
-		var score int64
-		if spec.Mode == window.ModeCount {
-			rem := int64(spec.Count - w.Arrivals)
-			if rem*2 < int64(spec.Count) {
-				continue // closing soon; not worth the handoff
-			}
-			score = rem
-		} else {
-			if pt.lastTS-w.OpenTS > spec.Length-spec.Length/4 {
-				continue // span nearly over
-			}
-			score = int64(w.Arrivals) // hotness proxy
-		}
-		if cand == nil || score > candScore {
-			cand, candScore = w, score
-		}
-	}
-	return cand
-}
-
-// reassign moves one window from victim to thief: an evict op tells the
-// victim to push the window struct (buffered entries, counters, pool
-// entry and all) into the thief's steal ring, and an adopt op tells the
-// thief to receive it and re-insert it among its open windows by ID.
-// Both shards replay their op streams in FIFO order, so every event op
-// staged before the steal reaches the window on the victim and every
-// one staged after it on the thief — the window's arrivals, and so its
-// positions and entry order, are exactly the serial pipeline's.
-// The evict is flushed immediately: the thief blocks on the ring when
-// it reaches the adopt, and leaving the evict parked in the partitioner
-// while a submitter blocks on the thief's full input queue would
-// deadlock. (All rendezvous point backwards in staging order — an adopt
-// waits only on an evict staged strictly earlier, and FIFO queues only
-// on earlier ops — so the earliest unprocessed op can always run and
-// the steal protocol cannot deadlock.) Caller holds pt.mu.
-func (pt *partitioner) reassign(w *window.Window, victim, thief int) {
-	pt.stageOp(victim, shardOp{kind: opEvict, win: w.ID, a: uint64(thief)})
-	pt.flushShard(victim)
-	w.Tag = tagAssigned | uint64(thief)
-	pt.owned[victim]--
-	pt.owned[thief]++
-	weight := occWeight(w)
-	pt.p.shards[victim].occupancy.Add(-weight)
-	pt.p.shards[thief].occupancy.Add(weight)
-	pt.p.shards[thief].pendingAdopts.Add(1)
-	pt.stageOp(thief, shardOp{kind: opAdopt})
 }
 
 // stageClose emits the close op for a tracker-closed window, assigns its
@@ -536,9 +407,6 @@ func (pt *partitioner) close() {
 // then closed under the same mutex, which can never race a send.
 func (pt *partitioner) cancel() {
 	pt.canceled.Store(true)
-	// Unblock any adopt op waiting on a steal ring whose matching evict
-	// will now be dropped with its staged batch.
-	pt.p.abortSteals()
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if !pt.closed {

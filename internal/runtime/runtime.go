@@ -8,8 +8,8 @@
 // deployment with no dedicated router goroutine: SubmitBatch itself runs
 // the windowing policy (under one partitioner mutex, so positions and
 // window identities stay deterministic) and streams compiled op batches
-// to the owning shards — windows are assigned to shards by their
-// deterministic ID as they open, and each shard owns its windows
+// to the owning shards — each window is placed on the least-occupied
+// shard as it opens and never moves, and each shard owns its windows
 // outright: open, membership add, shed decision, close, matching and
 // pool recycling all happen on the shard goroutine behind its own
 // bounded queue. Closed-window results carry a monotonic epoch (the
@@ -90,11 +90,6 @@ type Config struct {
 	// (safe for core.Shedder, whose state is swapped atomically). Ignored
 	// when Shards <= 1.
 	ShardDeciders []operator.Decider
-	// stealThreshold is the sharded path's work-stealing trigger in staged
-	// memberships (see partition.go). Production code leaves it 0, which
-	// selects defaultStealThreshold; only this package's tests set it —
-	// negative disables stealing.
-	stealThreshold int
 	// OnPanic, when non-nil, is called once — from the goroutine that
 	// panicked, right as the pipeline's failed flag trips — when a
 	// processing path panics (guard.go). The pipeline then drains
@@ -180,21 +175,21 @@ type ShardStats struct {
 	// being recycled (a pool leak).
 	PoolMisses uint64
 	// PoolGets and PoolPuts count window-pool handouts and recycles for
-	// this shard. A stolen window is recycled into its *current* owner's
-	// pool, so per-shard gets and puts diverge under stealing churn; the
-	// conservation invariant is global — summed over all shards,
-	// PoolPuts + PoolMisses >= PoolGets always, and PoolGets == PoolPuts
-	// once every window has closed.
+	// this shard. A window is recycled into the pool of the shard it
+	// opened on, so conservation holds per shard: PoolPuts + PoolMisses
+	// >= PoolGets always, and PoolGets == PoolPuts once every window has
+	// closed.
 	PoolGets uint64
 	PoolPuts uint64
-	// Steals counts windows this shard adopted from a more-backlogged
-	// shard (work stealing); a stolen window's remaining memberships,
-	// close, matching and pool recycling all happen here.
+	// Steals is always zero: windows never change shard.
+	//
+	// Deprecated: kept only until the end-to-end benchmark stops reading
+	// it.
 	Steals uint64
 	// Occupancy is the partitioner's live placement estimate of this
 	// shard's in-flight window work: the summed expected sizes of the
-	// open windows it currently owns. New windows are placed on the
-	// shard minimizing Occupancy + QueueLen.
+	// open windows it currently owns. A new window goes to the shard
+	// with the lowest Occupancy; QueueLen only breaks exact ties.
 	Occupancy int64
 	// Throughput is the detector's unshed-capacity estimate for this
 	// shard in events per second.
@@ -277,12 +272,6 @@ type Pipeline struct {
 	failed   atomic.Bool
 	panicErr atomic.Pointer[PanicError]
 
-	// abort unblocks shard-side steal rendezvous (an adopt op waiting on
-	// its ring) when the pipeline dies before the matching evict is
-	// processed — context cancel or contained panic. Sharded only.
-	abort     chan struct{}
-	abortOnce sync.Once
-
 	mu        sync.Mutex
 	latency   metrics.LatencyTrace
 	lastTS    event.Time
@@ -321,9 +310,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if n := len(cfg.ShardDeciders); n > 0 && n != cfg.Shards {
 		return nil, fmt.Errorf("runtime: ShardDeciders has %d entries for %d shards", n, cfg.Shards)
-	}
-	if cfg.stealThreshold == 0 {
-		cfg.stealThreshold = defaultStealThreshold
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 10 * time.Millisecond
@@ -410,7 +396,6 @@ func New(cfg Config) (*Pipeline, error) {
 		p.lanes = []*lane{&p.lane}
 	}
 	if cfg.Shards > 1 {
-		p.abort = make(chan struct{})
 		maxMatches := cfg.Operator.MaxMatchesPerWindow
 		if maxMatches <= 0 {
 			maxMatches = 1
@@ -437,7 +422,6 @@ func New(cfg Config) (*Pipeline, error) {
 				pipe:    p,
 				in:      make(chan *shardBatch, batchCap),
 				recycle: make(chan *shardBatch, batchCap+1),
-				adopt:   make(chan *window.Window, stealRingCap),
 				decider: dec,
 				matcher: operator.NewMatcher(cfg.Operator.Patterns, maxMatches),
 				hook:    cfg.Operator.OnWindowClose,

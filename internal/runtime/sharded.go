@@ -21,17 +21,14 @@ import (
 // against shard-local state — and it replays the partitioner's compiled
 // op stream in FIFO order, which is what makes the per-window
 // open→event→close ordering, and so every position it hands out, the
-// serial pipeline's without locks.
+// serial pipeline's without locks. A window never leaves the shard it
+// opened on, so a shard never waits on another shard: it blocks only on
+// its input channel and on the epoch merger.
 type shard struct {
 	id      int
 	pipe    *Pipeline        // back-pointer for panic containment (guard.go)
 	in      chan *shardBatch // op batches from the partitioner
 	recycle chan *shardBatch // drained batches handed back for reuse
-	// adopt is the shard's steal ring: when the partitioner reassigns a
-	// window to this shard, the previous owner pushes the window struct
-	// here and this shard's adopt op receives it. At most one steal per
-	// thief is in flight (pendingAdopts), so the push never blocks.
-	adopt   chan *window.Window
 	decider operator.Decider
 	batched operator.BatchingDecider // non-nil when decider batches counters
 	matcher *operator.Matcher        // per-shard match scratch
@@ -52,8 +49,9 @@ type shard struct {
 
 	// open holds the shard's open windows in ascending window ID — the
 	// tracker's membership order, so an event op visits them in the
-	// serial operator's order; pool recycles them shard-locally, so no
-	// closed window is ever lost to a full cross-goroutine release
+	// serial operator's order. The tracker numbers windows in opening
+	// order, so an open op appends. pool recycles them shard-locally, so
+	// no closed window is ever lost to a full cross-goroutine release
 	// channel.
 	open []*window.Window
 	pool window.Pool
@@ -69,15 +67,10 @@ type shard struct {
 	complexEvents    atomic.Uint64
 	windowsWithMatch atomic.Uint64
 
-	// Skew-aware scale-out state: occupancy is the partitioner's
-	// placement estimate (summed expected sizes of owned open windows,
-	// updated under the partitioner mutex), steals counts adopted
-	// windows, and pendingAdopts caps in-flight steals to this shard at
-	// one (incremented at staging, decremented when the adopt op
-	// actually receives from the ring).
-	occupancy     atomic.Int64
-	steals        atomic.Uint64
-	pendingAdopts atomic.Int32
+	// occupancy is the partitioner's placement estimate: the summed
+	// expected sizes of the open windows this shard owns, updated under
+	// the partitioner mutex.
+	occupancy atomic.Int64
 
 	mu      sync.Mutex
 	latency metrics.LatencyTrace
@@ -100,7 +93,6 @@ func (s *shard) snapshot() ShardStats {
 		PoolMisses:       s.pool.Misses(),
 		PoolGets:         s.pool.Gets(),
 		PoolPuts:         s.pool.Puts(),
-		Steals:           s.steals.Load(),
 		Occupancy:        s.occupancy.Load(),
 		Throughput:       loadFloat(&s.thEst),
 	}
@@ -110,27 +102,16 @@ func (s *shard) snapshot() ShardStats {
 // locally before folding them into the shedder's shared atomic counters.
 const tallyFlushBatch = 1024
 
-// search finds window id among the shard's open windows: its index, or
-// where it would be inserted.
-func (s *shard) search(id window.ID) (int, bool) {
-	return slices.BinarySearchFunc(s.open, id, func(w *window.Window, id window.ID) int {
+// take removes window id from the shard's open windows and returns it.
+// A close op always follows its window's open op on the same FIFO, so
+// the window is there; a miss is a partitioner bug, and the panic guard
+// contains it.
+func (s *shard) take(id window.ID) *window.Window {
+	i, ok := slices.BinarySearchFunc(s.open, id, func(w *window.Window, id window.ID) int {
 		return cmp.Compare(w.ID, id)
 	})
-}
-
-// insert adds w to the shard's open windows, keeping ascending ID order.
-func (s *shard) insert(w *window.Window) {
-	i, _ := s.search(w.ID)
-	s.open = slices.Insert(s.open, i, w)
-}
-
-// take removes window id from the shard's open windows and returns it;
-// nil when the shard does not hold it (its adopt was aborted
-// mid-teardown).
-func (s *shard) take(id window.ID) *window.Window {
-	i, ok := s.search(id)
 	if !ok {
-		return nil
+		panic("runtime: shard closes a window it does not own")
 	}
 	w := s.open[i]
 	s.open = slices.Delete(s.open, i, i+1)
@@ -155,45 +136,13 @@ func (s *shard) run(ctx context.Context, wg *sync.WaitGroup) {
 	defer flush()
 	for b := range s.in {
 		if ctx.Err() != nil || s.pipe.failed.Load() {
-			s.drainBatch(b)
+			s.queued.Add(-int64(b.members))
 			continue
 		}
 		s.processBatch(b, &decisions, &drops)
 		if decisions >= tallyFlushBatch || len(s.in) == 0 {
 			flush()
 		}
-	}
-}
-
-// drainBatch disposes of a batch without processing after a cancel or a
-// contained panic. Steal-handoff ops must still be serviced — an evict
-// that is never pushed would wedge the thief blocked on its ring, and
-// an adopt that is never received would strand the victim's push — so
-// the drain walks the ops and completes every rendezvous (the abort
-// channel, closed on cancel/panic, breaks pairs whose other half was
-// dropped with an unflushed batch).
-func (s *shard) drainBatch(b *shardBatch) {
-	for _, op := range b.ops {
-		switch op.kind & opKindMask {
-		case opEvict:
-			s.pipe.shards[op.a].adopt <- s.take(op.win)
-		case opAdopt:
-			select {
-			case <-s.adopt:
-				s.pendingAdopts.Add(-1)
-			case <-s.pipe.abort:
-			}
-		}
-	}
-	s.queued.Add(-int64(b.members))
-}
-
-// abortSteals unblocks every steal-ring rendezvous whose counterpart op
-// will never be processed (dropped with a canceled batch or unwound by
-// a panic). Idempotent; a no-op for serial pipelines.
-func (p *Pipeline) abortSteals() {
-	if p.abort != nil {
-		p.abortOnce.Do(func() { close(p.abort) })
 	}
 }
 
@@ -243,12 +192,9 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 			w.OpenSeq = ev.Seq
 			w.OpenTS = ev.TS
 			w.ExpectedSize = int(op.a)
-			s.insert(w)
+			s.open = append(s.open, w)
 		case opClose:
 			w := s.take(op.win)
-			if w == nil {
-				continue // adopt aborted mid-teardown; merger emits the prefix
-			}
 			if !haveOut {
 				out = s.merger.Batch()
 				haveOut = true
@@ -257,27 +203,6 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 				Epoch: op.a,
 				Val:   s.closeOwned(w, event.Time(op.b)),
 			})
-		case opEvict:
-			// Ownership handoff, donor side: push the window — buffered
-			// entries, counters and its pool entry — to the thief's steal
-			// ring and forget it. Future ops for this window (events,
-			// close) were staged to the thief after its adopt op.
-			s.pipe.shards[op.a].adopt <- s.take(op.win)
-		case opAdopt:
-			// Ownership handoff, thief side: receive the stolen window and
-			// re-insert it by ID. Blocks until the donor processes its
-			// evict (always strictly earlier in staging order, so this
-			// cannot deadlock); the abort channel breaks the wait if the
-			// pipeline dies with the evict unflushed.
-			select {
-			case w := <-s.adopt:
-				s.pendingAdopts.Add(-1)
-				if w != nil {
-					s.steals.Add(1)
-					s.insert(w)
-				}
-			case <-s.pipe.abort:
-			}
 		}
 	}
 	s.memberships.Add(members)

@@ -171,7 +171,7 @@ func TestShardOpsPerEvent(t *testing.T) {
 
 	opCfg := opConfig(nil)
 	opCfg.Window = spec
-	p, err := New(Config{Operator: opCfg, Shards: 2, stealThreshold: -1})
+	p, err := New(Config{Operator: opCfg, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

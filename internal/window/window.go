@@ -129,8 +129,8 @@ type Window struct {
 	ExpectedSize int
 
 	// Tag is deployment scratch: the sharded runtime's partitioner
-	// records the owning shard here so routing a close or a steal needs
-	// no map lookup. The window package never reads it; Release and
+	// records the owning shard here so routing a close needs no map
+	// lookup. The window package never reads it; Release and
 	// Pool.Put zero it with the rest of the struct.
 	Tag uint64
 
@@ -228,12 +228,11 @@ func (p *Pool) Gets() uint64 { return p.gets.Load() }
 
 // Puts reports how many windows were recycled into the pool. Together
 // with Gets and Misses this makes pool accounting conservation-checkable
-// across ownership handoffs (the sharded runtime's work stealing recycles
-// a stolen window into the thief's pool, not its opener's): at any
-// moment Puts + Misses >= Gets per process (the surplus is the pooled
-// free list plus live windows allocated by misses), and once every
-// window has closed and been recycled, the global sums satisfy
-// Gets == Puts exactly.
+// per pool — the Manager's, or each shard's in the sharded runtime,
+// where a window is recycled into the pool it came from: at any moment
+// Puts + Misses >= Gets (the surplus is the pooled free list plus live
+// windows allocated by misses), and once every window has closed and
+// been recycled, Gets == Puts exactly.
 func (p *Pool) Puts() uint64 { return p.puts.Load() }
 
 // Misses reports how many Gets had to allocate because the pool was
@@ -286,19 +285,8 @@ func NewManager(spec Spec) (*Manager, error) {
 	return m, nil
 }
 
-// Spec returns the manager's windowing policy.
-func (m *Manager) Spec() Spec { return m.spec }
-
 // OpenCount reports the number of currently open windows.
 func (m *Manager) OpenCount() int { return len(m.open) }
-
-// OpenWindows exposes the currently open windows in opening order. The
-// returned slice aliases the manager's own state: callers must treat it
-// as read-only (Tag excepted — it is deployment scratch), must not
-// retain it past the next Route or Flush call, and must call from the
-// manager's owning goroutine. The sharded runtime's partitioner uses it
-// to pick steal candidates when rebalancing window ownership.
-func (m *Manager) OpenWindows() []*Window { return m.open }
 
 // TotalOpened reports how many windows were ever opened.
 func (m *Manager) TotalOpened() uint64 { return m.totalOpened }
