@@ -517,7 +517,7 @@ func BenchmarkModelBuild(b *testing.B) {
 		w.Add(event.Event{Seq: uint64(p), Type: event.Type(rng.Intn(types))}, p)
 		w.Arrivals++
 	}
-	matched := w.Kept[:20]
+	matched := w.CopyKept(nil)[:20]
 	for i := 0; i < 50; i++ {
 		mb.ObserveWindow(w, matched)
 	}

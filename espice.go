@@ -99,7 +99,17 @@ type (
 	Window = window.Window
 	// WindowEntry is an event kept in a window with its position.
 	WindowEntry = window.Entry
+	// WindowView is the in-order view of a window's kept entries that
+	// patterns match over: Window.Entries returns the window's own,
+	// NewWindowView wraps explicit entries.
+	WindowView = window.View
 )
+
+// NewWindowView wraps entries (in window order, strictly increasing
+// positions) as a WindowView without copying, for matching a
+// hand-built window with CompiledPattern.Match/MatchWith/MatchAll/
+// MatchAllWith.
+func NewWindowView(entries []WindowEntry) WindowView { return window.NewView(entries) }
 
 // Window modes.
 const (
@@ -132,8 +142,10 @@ const (
 )
 
 // MatchScratch is the reusable per-goroutine working memory of the
-// matcher: pass one to CompiledPattern.MatchWith/MatchAllWith and
-// steady-state matching allocates nothing. The zero value is ready.
+// matcher: pass one to CompiledPattern.MatchWith/MatchAllWith, together
+// with a WindowView (Window.Entries, or NewWindowView built once outside
+// the loop), and steady-state matching allocates nothing. The zero value
+// is ready.
 type MatchScratch = pattern.MatchScratch
 
 // CompilePattern validates a pattern for matching.

@@ -130,3 +130,29 @@ func TestPublicAPIScalesAndKinds(t *testing.T) {
 		t.Errorf("partitioning via facade: %+v", part)
 	}
 }
+
+// TestPublicAPIWindowView matches a hand-built window through the
+// facade: NewWindowView wraps the entries once, and a reused scratch
+// matches them without copying.
+func TestPublicAPIWindowView(t *testing.T) {
+	p := espice.MustCompilePattern(espice.Pattern{
+		Name:  "seq(A;B)",
+		Steps: []espice.PatternStep{{Types: []espice.Type{0}}, {Types: []espice.Type{1}}},
+	})
+	view := espice.NewWindowView([]espice.WindowEntry{
+		{Ev: espice.Event{Seq: 10, Type: 1}, Pos: 0},
+		{Ev: espice.Event{Seq: 11, Type: 0}, Pos: 2},
+		{Ev: espice.Event{Seq: 12, Type: 1}, Pos: 5},
+	})
+	var s espice.MatchScratch
+	m, ok := p.MatchWith(&s, view)
+	if !ok {
+		t.Fatal("seq(A;B) did not match")
+	}
+	if got := m.Seqs(); len(got) != 2 || got[0] != 11 || got[1] != 12 {
+		t.Errorf("constituents = %v, want [11 12]", got)
+	}
+	if m.Constituents[1].Pos != 5 {
+		t.Errorf("B's position = %d, want 5", m.Constituents[1].Pos)
+	}
+}

@@ -32,9 +32,9 @@ func driftModel(t *testing.T) *Model {
 func driftWindow(pos int) (*window.Window, []window.Entry) {
 	w := &window.Window{ExpectedSize: 10}
 	w.Arrivals = 10
-	ent := window.Entry{Ev: event.Event{Type: 0}, Pos: pos}
-	w.Kept = append(w.Kept, ent)
-	return w, []window.Entry{ent}
+	ev := event.Event{Type: 0}
+	w.Add(ev, pos)
+	return w, []window.Entry{{Ev: ev, Pos: pos}}
 }
 
 func TestNewDriftDetectorValidation(t *testing.T) {

@@ -25,7 +25,7 @@ func observeStream(t *testing.T, b *ModelBuilder, n, windows, matchEvery int) {
 		w := mkWindow(t, types)
 		var matched []window.Entry
 		if matchEvery > 0 && i%matchEvery == 0 {
-			matched = []window.Entry{w.Kept[0], w.Kept[n-1]}
+			matched = []window.Entry{w.Entries().At(0), w.Entries().At(n - 1)}
 		}
 		b.ObserveWindow(w, matched)
 	}

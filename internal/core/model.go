@@ -159,16 +159,13 @@ func (b *ModelBuilder) ObserveWindow(w *window.Window, matched []window.Entry) {
 		b.matchesSeen++
 	}
 	if b.deferred {
-		ents := w.CopyKept(nil)
-		b.bufWindows = append(b.bufWindows, ents)
+		v := w.Entries()
+		b.bufWindows = append(b.bufWindows, w.CopyKept(nil))
 		b.bufSizes = append(b.bufSizes, ws)
 		idx := make([]int, 0, len(matched))
 		for _, m := range matched {
-			for i := range ents {
-				if ents[i].Pos == m.Pos {
-					idx = append(idx, i)
-					break
-				}
+			if i := v.Index(m.Pos); i >= 0 {
+				idx = append(idx, i)
 			}
 		}
 		b.bufMatchIdx = append(b.bufMatchIdx, idx)
@@ -176,12 +173,14 @@ func (b *ModelBuilder) ObserveWindow(w *window.Window, matched []window.Entry) {
 	}
 	n := b.cfg.N
 	bins := (n + b.cfg.BinSize - 1) / b.cfg.BinSize
-	for _, ent := range w.Kept {
-		if ent.Ev.Type < 0 || int(ent.Ev.Type) >= b.cfg.Types {
+	v := w.Entries()
+	for i := 0; i < v.Len(); i++ {
+		t := v.Type(i)
+		if t < 0 || int(t) >= b.cfg.Types {
 			continue // outside the configured registry slice: no cell to count
 		}
-		bin := scaledBin(ent.Pos, ws, n, b.cfg.BinSize, bins)
-		b.posCounts[int(ent.Ev.Type)*bins+bin]++
+		bin := scaledBin(v.Pos(i), ws, n, b.cfg.BinSize, bins)
+		b.posCounts[int(t)*bins+bin]++
 	}
 	for _, ent := range matched {
 		if ent.Ev.Type < 0 || int(ent.Ev.Type) >= b.cfg.Types {

@@ -51,7 +51,7 @@ func TestModelBuildingBasic(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		w := mkWindow(t, []event.Type{A, B, A, B})
-		matched := []window.Entry{w.Kept[0], w.Kept[3]}
+		matched := []window.Entry{w.Entries().At(0), w.Entries().At(3)}
 		b.ObserveWindow(w, matched)
 	}
 	if b.WindowsSeen() != 10 || b.MatchesSeen() != 10 {
@@ -107,9 +107,9 @@ func TestModelUtilityProportionalToFrequency(t *testing.T) {
 	b, _ := NewModelBuilder(ModelBuilderConfig{Types: 2, N: 2})
 	for i := 0; i < 10; i++ {
 		w := mkWindow(t, []event.Type{A, B})
-		matched := []window.Entry{w.Kept[0]}
+		matched := []window.Entry{w.Entries().At(0)}
 		if i%2 == 0 {
-			matched = append(matched, w.Kept[1])
+			matched = append(matched, w.Entries().At(1))
 		}
 		b.ObserveWindow(w, matched)
 	}
@@ -151,7 +151,7 @@ func TestModelVariableWindowScaling(t *testing.T) {
 	b, _ := NewModelBuilder(ModelBuilderConfig{Types: 1, N: 4})
 	w := mkWindow(t, []event.Type{A, A, A, A, A, A, A, A})
 	// Constituent at window position 6 -> logical position 3.
-	b.ObserveWindow(w, []window.Entry{w.Kept[6]})
+	b.ObserveWindow(w, []window.Entry{w.Entries().At(6)})
 	m, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +172,9 @@ func TestModelDeferredNDerivation(t *testing.T) {
 	const A = event.Type(0)
 	b, _ := NewModelBuilder(ModelBuilderConfig{Types: 1})
 	w1 := mkWindow(t, []event.Type{A, A, A})
-	b.ObserveWindow(w1, []window.Entry{w1.Kept[0]})
+	b.ObserveWindow(w1, []window.Entry{w1.Entries().At(0)})
 	w2 := mkWindow(t, []event.Type{A, A, A, A, A})
-	b.ObserveWindow(w2, []window.Entry{w2.Kept[4]})
+	b.ObserveWindow(w2, []window.Entry{w2.Entries().At(4)})
 	m, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestModelBins(t *testing.T) {
 	const A = event.Type(0)
 	b, _ := NewModelBuilder(ModelBuilderConfig{Types: 1, N: 8, BinSize: 4})
 	w := mkWindow(t, []event.Type{A, A, A, A, A, A, A, A})
-	b.ObserveWindow(w, []window.Entry{w.Kept[1], w.Kept[2]})
+	b.ObserveWindow(w, []window.Entry{w.Entries().At(1), w.Entries().At(2)})
 	m, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestModelBuilderReset(t *testing.T) {
 	const A = event.Type(0)
 	b, _ := NewModelBuilder(ModelBuilderConfig{Types: 1, N: 2})
 	w := mkWindow(t, []event.Type{A, A})
-	b.ObserveWindow(w, []window.Entry{w.Kept[0]})
+	b.ObserveWindow(w, []window.Entry{w.Entries().At(0)})
 	b.Reset()
 	if b.WindowsSeen() != 0 || b.MatchesSeen() != 0 || b.AvgWindowSize() != 0 {
 		t.Error("Reset did not clear counters")
@@ -229,7 +229,7 @@ func TestModelBuilderReset(t *testing.T) {
 	}
 	// Retraining works after Reset.
 	w2 := mkWindow(t, []event.Type{A, A})
-	b.ObserveWindow(w2, []window.Entry{w2.Kept[1]})
+	b.ObserveWindow(w2, []window.Entry{w2.Entries().At(1)})
 	m, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

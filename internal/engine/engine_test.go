@@ -596,8 +596,9 @@ func TestFanoutTotalOrder(t *testing.T) {
 			Name:          fmt.Sprintf("order%d", i),
 			DisableFilter: true,
 			OnWindowClose: func(w *window.Window, _ []window.Entry) {
-				for _, en := range w.Kept {
-					seen[i] = append(seen[i], en.Ev.Seq)
+				v := w.Entries()
+				for j := 0; j < v.Len(); j++ {
+					seen[i] = append(seen[i], v.Event(j).Seq)
 				}
 			},
 		})

@@ -109,13 +109,15 @@ func ParseKind(name string) (Kind, bool) {
 // Vals holds the attribute values; their meaning is given by the stream's
 // Schema (attribute name -> index). Events are small value types and are
 // passed by value throughout the engine; Vals is the only pointer-shaped
-// field and is treated as immutable after creation.
+// field and is treated as immutable after creation. The fields are
+// ordered widest first so the struct packs into 48 bytes: every batch,
+// queue slot and window ring holds events by value.
 type Event struct {
 	Seq  uint64    // global sequence number (dense, starts at 0)
-	Type Type      // interned event type
 	TS   Time      // virtual timestamp
-	Kind Kind      // application-level discriminator
 	Vals []float64 // attribute values, indexed per Schema
+	Type Type      // interned event type
+	Kind Kind      // application-level discriminator
 }
 
 // Val returns the attribute value at index i, or 0 if the event does not

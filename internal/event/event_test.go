@@ -4,7 +4,17 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventSize pins the packed layout: events are held by value in
+// every batch, queue slot and window ring, so a field order that adds
+// padding costs memory on every one of them.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Errorf("sizeof(Event) = %d bytes, want 48", got)
+	}
+}
 
 func TestTimeSeconds(t *testing.T) {
 	tests := []struct {

@@ -146,9 +146,10 @@ func replayTraining(q queries.Query, events []event.Event, mb *core.ModelBuilder
 				return
 			}
 			*windows++
-			for _, ent := range w.Kept {
-				if ent.Ev.Type >= 0 && int(ent.Ev.Type) < len(typeCounts) {
-					typeCounts[ent.Ev.Type]++
+			v := w.Entries()
+			for i := 0; i < v.Len(); i++ {
+				if t := v.Type(i); t >= 0 && int(t) < len(typeCounts) {
+					typeCounts[t]++
 				}
 			}
 		},

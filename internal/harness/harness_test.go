@@ -248,22 +248,26 @@ func TestMeasureShedderOverhead(t *testing.T) {
 }
 
 // TestHookRetentionCaught enforces the window-pool retention contract:
-// an OnWindowClose hook that holds on to a closed window's entries past
-// its return sees them poisoned (Pos = -1, zeroed event) once the
-// operator recycles the window — the violation surfaces as clobbered
-// data here instead of silent aliasing in production. The model builder
-// obeys the contract by copying (deferred mode) or reading synchronously.
+// an OnWindowClose hook that holds on to a closed window past its return
+// finds it detached (Size 0, no entries) once the operator recycles it —
+// the violation surfaces as an empty window here instead of silent
+// aliasing in production. The model builder obeys the contract by
+// copying (deferred mode) or reading synchronously.
 func TestHookRetentionCaught(t *testing.T) {
 	p := pattern.MustCompile(pattern.Pattern{
 		Name:  "any",
 		Steps: []pattern.Step{{}},
 	})
-	var retained [][]window.Entry
+	var retained []*window.Window
 	op, err := operator.New(operator.Config{
 		Window:   window.Spec{Mode: window.ModeCount, Count: 4, Slide: 4},
 		Patterns: []*pattern.Compiled{p},
 		OnWindowClose: func(w *window.Window, matched []window.Entry) {
-			retained = append(retained, w.Kept) // contract violation
+			if w.Size() != 4 || w.Entries().Len() != 4 {
+				t.Errorf("hook saw a window of size %d with %d entries, want 4 and 4",
+					w.Size(), w.Entries().Len())
+			}
+			retained = append(retained, w) // contract violation
 		},
 	})
 	if err != nil {
@@ -279,15 +283,10 @@ func TestHookRetentionCaught(t *testing.T) {
 	if len(retained) < 2 {
 		t.Fatalf("retained %d windows, want >= 2", len(retained))
 	}
-	caught := 0
-	for _, kept := range retained {
-		for _, ent := range kept {
-			if ent.Pos == -1 && ent.Ev.Seq == 0 {
-				caught++
-			}
+	for i, w := range retained {
+		if w.Size() != 0 || w.Entries().Len() != 0 {
+			t.Fatalf("retained window %d still reads size %d with %d entries; the retention contract is unenforced",
+				i, w.Size(), w.Entries().Len())
 		}
-	}
-	if caught == 0 {
-		t.Fatal("retained entries were not poisoned; the retention contract is unenforced")
 	}
 }

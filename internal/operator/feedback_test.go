@@ -50,8 +50,8 @@ func TestFeedbackTapSampling(t *testing.T) {
 
 // TestFeedbackTapPoolingContract: the tap (and the builder behind it,
 // including its deferred buffering mode) must copy what it keeps — after
-// the window is released and poisoned, the accumulated statistics still
-// describe the original entries.
+// the window is released and its buffer cleared, the accumulated
+// statistics still describe the original entries.
 func TestFeedbackTapPoolingContract(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -77,8 +77,8 @@ func TestFeedbackTapPoolingContract(t *testing.T) {
 					mbr.W.Add(event.Event{Seq: uint64(i), Type: 1}, mbr.Pos)
 				}
 				for _, w := range closed {
-					tap.OnWindowClose(w, []window.Entry{w.Kept[0], w.Kept[3]})
-					mgr.Release(w) // poisons entries; the tap must not alias them
+					tap.OnWindowClose(w, []window.Entry{w.Entries().At(0), w.Entries().At(3)})
+					mgr.Release(w) // clears the buffer; the tap must not alias it
 				}
 			}
 			model, err := mb.Build()
@@ -88,17 +88,17 @@ func TestFeedbackTapPoolingContract(t *testing.T) {
 			if !model.Trained() {
 				t.Fatal("model not trained")
 			}
-			// All mass belongs to type 1; a poisoned alias would have
+			// All mass belongs to type 1; a retained alias would have
 			// zeroed the events (type 0) and clamped positions.
 			if u := model.UT().Utility(1, 0, 4); u != core.MaxUtility {
 				t.Errorf("type-1 utility at pos 0 = %d, want %d", u, core.MaxUtility)
 			}
 			for b := 0; b < model.UT().Bins(); b++ {
 				if model.UT().At(0, b) != 0 {
-					t.Errorf("type-0 bin %d has utility %d — poisoned aliasing?", b, model.UT().At(0, b))
+					t.Errorf("type-0 bin %d has utility %d — retained aliasing?", b, model.UT().At(0, b))
 				}
 				if model.Share(0, b) != 0 {
-					t.Errorf("type-0 bin %d has share %v — poisoned aliasing?", b, model.Share(0, b))
+					t.Errorf("type-0 bin %d has share %v — retained aliasing?", b, model.Share(0, b))
 				}
 			}
 			if model.Share(1, 0) != 1 {

@@ -141,6 +141,7 @@ type Stats struct {
 // component: the owner (simulator or runtime pump) calls Process serially.
 type Operator struct {
 	mgr     *window.Manager
+	ring    window.Ring // every routed event, once; windows read it at close
 	matcher *Matcher
 	shedder Decider
 	batched BatchingDecider // non-nil when shedder supports batching
@@ -189,32 +190,39 @@ func (o *Operator) WindowManager() *window.Manager { return o.mgr }
 
 // Process consumes the next event in stream order and returns any complex
 // events completed by it. The returned slice is reused across calls. In
-// steady state (warm window pool, warm matcher scratch) processing an
+// steady state (warm window pool, ring and matcher scratch) processing an
 // event allocates nothing; only complex-event emission allocates, since
 // those escape to the caller.
+//
+// Route gives every open window a membership, so an event with any
+// membership is pushed to the ring once and every open window's
+// position p is the ring's event Start+p: a kept membership writes
+// nothing, a dropped one sets a bit.
 func (o *Operator) Process(e event.Event) []ComplexEvent {
 	o.out = o.out[:0]
 	o.stats.EventsProcessed++
 	member, closed := o.mgr.Route(e)
-	var decisions, drops uint64
-	for _, mb := range member {
-		o.stats.Memberships++
-		dropped := ShedDecision(o.shedder, o.batched, e.Type, mb.Pos, mb.W.ExpectedSize,
-			&decisions, &drops)
-		if dropped {
-			mb.W.Dropped++
-			o.stats.MembershipsShed++
-			continue
+	if len(member) > 0 {
+		at := o.ring.Push(e)
+		var decisions, drops, shed uint64
+		for _, mb := range member {
+			if mb.Pos == 0 {
+				mb.W.Start = at // opened by e
+			}
+			if ShedDecision(o.shedder, o.batched, e.Type, mb.Pos, mb.W.ExpectedSize,
+				&decisions, &drops) {
+				mb.W.Drop(mb.Pos)
+				shed++
+			}
 		}
-		mb.W.Add(e, mb.Pos)
-		o.stats.MembershipsKept++
+		o.stats.Memberships += uint64(len(member))
+		o.stats.MembershipsShed += shed
+		o.stats.MembershipsKept += uint64(len(member)) - shed
+		if decisions > 0 {
+			o.batched.TallyDecisions(decisions, drops)
+		}
 	}
-	if decisions > 0 {
-		o.batched.TallyDecisions(decisions, drops)
-	}
-	for _, w := range closed {
-		o.closeWindow(w, e.TS)
-	}
+	o.closeAll(closed, e.TS)
 	return o.out
 }
 
@@ -222,14 +230,29 @@ func (o *Operator) Process(e event.Event) []ComplexEvent {
 // complex events. The returned slice is reused.
 func (o *Operator) Flush(now event.Time) []ComplexEvent {
 	o.out = o.out[:0]
-	for _, w := range o.mgr.Flush() {
+	o.closeAll(o.mgr.Flush(), now)
+	return o.out
+}
+
+// closeAll matches and recycles the closed windows, then trims the ring
+// to what the still-open windows reference.
+func (o *Operator) closeAll(closed []*window.Window, now event.Time) {
+	if len(closed) == 0 {
+		return
+	}
+	for _, w := range closed {
 		o.closeWindow(w, now)
 	}
-	return o.out
+	if w := o.mgr.Oldest(); w != nil {
+		o.ring.Trim(w.Start)
+	} else {
+		o.ring.Trim(o.ring.End())
+	}
 }
 
 func (o *Operator) closeWindow(w *window.Window, now event.Time) {
 	o.stats.WindowsClosed++
+	w.Bind(&o.ring)
 	before := len(o.out)
 	var matchedEntries []window.Entry
 	var found bool
@@ -269,21 +292,22 @@ func NewMatcher(patterns []*pattern.Compiled, maxMatches int) *Matcher {
 	return &Matcher{patterns: patterns, maxMatches: maxMatches}
 }
 
-// MatchClosed matches one closed window: complex events are appended to
-// ces and returned together with the matched constituent entries and
-// whether any pattern matched. The matched entries alias the matcher's
-// scratch — valid only until the next MatchClosed call; copy them to
-// retain them (the serial operator hands them to the OnWindowClose hook
-// under exactly that contract).
+// MatchClosed matches one closed window's Entries: complex events are
+// appended to ces and returned together with the matched constituent
+// entries and whether any pattern matched. The matched entries are
+// values in the matcher's scratch, valid only until the next MatchClosed
+// call; copy them to retain them (the serial operator hands them to the
+// OnWindowClose hook under exactly that contract).
 func (mt *Matcher) MatchClosed(w *window.Window, now event.Time, ces []ComplexEvent) ([]ComplexEvent, []window.Entry, bool) {
+	entries := *w.Entries()
 	for _, p := range mt.patterns {
 		mt.matches = mt.matches[:0]
 		if mt.maxMatches == 1 {
-			if m, ok := p.MatchWith(&mt.scratch, w.Kept); ok {
+			if m, ok := p.MatchWith(&mt.scratch, entries); ok {
 				mt.matches = append(mt.matches, m)
 			}
 		} else {
-			mt.matches = p.MatchAllWith(&mt.scratch, w.Kept, mt.maxMatches, mt.matches)
+			mt.matches = p.MatchAllWith(&mt.scratch, entries, mt.maxMatches, mt.matches)
 		}
 		if len(mt.matches) == 0 {
 			continue

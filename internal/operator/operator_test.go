@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -276,6 +277,40 @@ func TestOverlappingWindowsIndependentShedding(t *testing.T) {
 	// window1 (dropped); seq3 (B) at pos 3 (kept) and pos 1 (kept).
 	if st.MembershipsShed == 0 || st.MembershipsKept == 0 {
 		t.Fatalf("expected mixed shed/kept, got %+v", st)
+	}
+}
+
+// TestRingBounded: after every event of a long seeded stream, the serial
+// operator's ring holds at most the arrivals since its oldest open
+// window opened, plus the compaction slack — sliding time windows that
+// always overlap, and predicate-opened count windows with gaps where no
+// window is open — and it is empty once every window has closed.
+func TestRingBounded(t *testing.T) {
+	for _, spec := range []window.Spec{
+		{Mode: window.ModeTime, Length: 40 * event.Millisecond, SlideTime: 7 * event.Millisecond},
+		{Mode: window.ModeCount, Count: 30, Open: func(e event.Event) bool { return e.Type == typeA && e.Seq%5 == 0 }},
+	} {
+		op, err := New(Config{Window: spec, Patterns: []*pattern.Compiled{seqAB(t)}, Shedder: dropEven{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		ts := event.Time(0)
+		for i := 0; i < 20000; i++ {
+			ts += event.Time(rng.Intn(3)) * event.Millisecond
+			op.Process(event.Event{Seq: uint64(i), TS: ts, Type: event.Type(rng.Intn(3))})
+			arrivals := 0
+			if w := op.mgr.Oldest(); w != nil {
+				arrivals = w.Arrivals
+			}
+			if bound := arrivals + max(arrivals, window.RingSlack); op.ring.Len() > bound {
+				t.Fatalf("%v: after event %d the ring holds %d events, bound %d", spec.Mode, i, op.ring.Len(), bound)
+			}
+		}
+		op.Flush(ts)
+		if op.ring.Live() != 0 {
+			t.Errorf("%v: ring keeps %d live events after Flush", spec.Mode, op.ring.Live())
+		}
 	}
 }
 

@@ -184,22 +184,3 @@ func (s *MatchScratch) resetSkip(n int) {
 		s.skip[i] = false
 	}
 }
-
-// indexOfPos locates the entry with the given window position by binary
-// search — entries are in window order, so positions are strictly
-// increasing. Returns -1 when absent.
-func indexOfPos(entries []window.Entry, pos int) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if entries[mid].Pos < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(entries) && entries[lo].Pos == pos {
-		return lo
-	}
-	return -1
-}

@@ -1,10 +1,6 @@
 package pattern
 
-import (
-	"repro/internal/event"
-
-	"repro/internal/window"
-)
+import "repro/internal/window"
 
 // matchWithNeg is the complete backtracking matcher for patterns that
 // contain negation steps (first selection policy). Greedy earliest
@@ -19,8 +15,9 @@ import (
 // between the two steps' matched events; a trailing negation step
 // requires that no accepted event occurs between the last positive match
 // and the window close.
-func (c *Compiled) matchWithNeg(s *MatchScratch, entries []window.Entry, stepStart, entFrom int) bool {
+func (c *Compiled) matchWithNeg(s *MatchScratch, entries *window.View, stepStart, entFrom int) bool {
 	steps := c.p.Steps
+	n := entries.Len()
 	base := len(s.consts)
 
 	var rec func(si, from int) bool
@@ -35,20 +32,20 @@ func (c *Compiled) matchWithNeg(s *MatchScratch, entries []window.Entry, stepSta
 			if negIdx >= 0 {
 				// Trailing negation: the remainder of the window must be
 				// free of accepted events.
-				for i := from; i < len(entries); i++ {
-					if c.stepAccepts(negIdx, entries[i].Ev) {
+				for i := from; i < n; i++ {
+					if c.stepAccepts(negIdx, entries, i) {
 						return false
 					}
 				}
 			}
 			return true
 		}
-		for j := from; j < len(entries); j++ {
+		for j := from; j < n; j++ {
 			// The candidate event is consumed by the positive step, not
 			// part of the gap, so try it before the negation check — an
 			// event accepted by both the step and the negation matches the
 			// step (match-wins semantics).
-			if c.stepFirstEventAccepts(si, entries[j].Ev) {
+			if c.stepAccepts(si, entries, j) {
 				mark := len(s.consts)
 				next, ok := c.consumeStep(s, si, entries, j)
 				if ok && rec(si+1, next) {
@@ -56,7 +53,7 @@ func (c *Compiled) matchWithNeg(s *MatchScratch, entries []window.Entry, stepSta
 				}
 				s.consts = s.consts[:mark]
 			}
-			if negIdx >= 0 && c.stepAccepts(negIdx, entries[j].Ev) {
+			if negIdx >= 0 && c.stepAccepts(negIdx, entries, j) {
 				// A negated event precedes every remaining candidate: no
 				// valid continuation from this branch.
 				return false
@@ -72,34 +69,29 @@ func (c *Compiled) matchWithNeg(s *MatchScratch, entries []window.Entry, stepSta
 	return true
 }
 
-// stepFirstEventAccepts reports whether e can be the first consumed event
-// of step si (for conjunction steps the event must be one of the required
-// types; otherwise identical to stepAccepts).
-func (c *Compiled) stepFirstEventAccepts(si int, e event.Event) bool {
-	return c.stepAccepts(si, e)
-}
-
-// consumeStep consumes step si's events greedily starting at entries[j]
-// (which must satisfy stepFirstEventAccepts) and appends the constituents
-// to s.consts. It returns the entry index following the last consumed
-// event. The shared type-set scratch is free here: consumeStep never
-// nests inside another step's set use.
-func (c *Compiled) consumeStep(s *MatchScratch, si int, entries []window.Entry, j int) (int, bool) {
+// consumeStep consumes step si's events greedily starting at entry j
+// (which must satisfy stepAccepts; for conjunction steps it is one of
+// the required types) and appends the constituents to s.consts. It
+// returns the entry index following the last consumed event. The shared
+// type-set scratch is free here: consumeStep never nests inside another
+// step's set use.
+func (c *Compiled) consumeStep(s *MatchScratch, si int, entries *window.View, j int) (int, bool) {
 	st := &c.p.Steps[si]
+	n := entries.Len()
 	switch {
 	case st.All:
 		need := s.loadStep(st.Types)
 		i := j
-		for ; i < len(entries) && need > 0; i++ {
-			e := entries[i].Ev
-			if !s.setHas(e.Type) {
+		for ; i < n && need > 0; i++ {
+			t := entries.Type(i)
+			if !s.setHas(t) {
 				continue
 			}
-			if st.Pred != nil && !st.Pred(e) {
+			if st.Pred != nil && !st.Pred(entries.Event(i)) {
 				continue
 			}
-			s.consts = append(s.consts, entries[i])
-			s.setRemove(e.Type)
+			s.consts = append(s.consts, entries.At(i))
+			s.setRemove(t)
 			need--
 		}
 		if need > 0 {
@@ -115,36 +107,34 @@ func (c *Compiled) consumeStep(s *MatchScratch, si int, entries []window.Entry, 
 			s.loadStep(nil)
 		}
 		got := 0
-		for i := j; i < len(entries); i++ {
-			e := entries[i].Ev
-			if !c.stepAccepts(si, e) {
+		for i := j; i < n; i++ {
+			if !c.stepAccepts(si, entries, i) {
 				continue
 			}
-			if st.Distinct && !s.takeDistinct(e.Type) {
+			if st.Distinct && !s.takeDistinct(entries.Type(i)) {
 				continue
 			}
-			s.consts = append(s.consts, entries[i])
+			s.consts = append(s.consts, entries.At(i))
 			got++
 		}
 		if got < min {
 			return 0, false
 		}
-		return len(entries), true
+		return n, true
 	case st.AnyN > 0:
 		if st.Distinct {
 			s.loadStep(nil)
 		}
 		need := st.AnyN
 		i := j
-		for ; i < len(entries) && need > 0; i++ {
-			e := entries[i].Ev
-			if !c.stepAccepts(si, e) {
+		for ; i < n && need > 0; i++ {
+			if !c.stepAccepts(si, entries, i) {
 				continue
 			}
-			if st.Distinct && !s.takeDistinct(e.Type) {
+			if st.Distinct && !s.takeDistinct(entries.Type(i)) {
 				continue
 			}
-			s.consts = append(s.consts, entries[i])
+			s.consts = append(s.consts, entries.At(i))
 			need--
 		}
 		if need > 0 {
@@ -152,7 +142,7 @@ func (c *Compiled) consumeStep(s *MatchScratch, si int, entries []window.Entry, 
 		}
 		return i, true
 	default:
-		s.consts = append(s.consts, entries[j])
+		s.consts = append(s.consts, entries.At(j))
 		return j + 1, true
 	}
 }

@@ -422,11 +422,11 @@ func TestNegationPredicate(t *testing.T) {
 		{Ev: event.Event{Seq: 1, Type: tB, Kind: event.KindFalling}, Pos: 1},
 		{Ev: event.Event{Seq: 2, Type: tC}, Pos: 2},
 	}
-	if _, ok := c.Match(ents); !ok {
+	if _, ok := c.Match(window.NewView(ents)); !ok {
 		t.Error("falling B must not block")
 	}
 	ents[1].Ev.Kind = event.KindRising
-	if _, ok := c.Match(ents); ok {
+	if _, ok := c.Match(window.NewView(ents)); ok {
 		t.Error("rising B must block")
 	}
 }

@@ -6,9 +6,10 @@
 //
 // A pattern is a sequence of steps. Each step matches one event (or, for
 // "any" steps, n events of a set of allowed types) and may carry a content
-// predicate. Matching operates on the kept entries of a closed window and
-// reports the constituent events together with their window positions,
-// which is exactly the statistic the eSPICE model builder consumes.
+// predicate. Matching reads the kept entries of a closed window through
+// a window.View and reports the constituent events, copied out as values,
+// together with their window positions, which is exactly the statistic
+// the eSPICE model builder consumes.
 package pattern
 
 import (
@@ -248,23 +249,25 @@ func (c *Compiled) Pattern() Pattern { return c.p }
 // Width returns the number of primitive events in a full match.
 func (c *Compiled) Width() int { return c.width }
 
-// stepAccepts reports whether entry e can satisfy step i.
-func (c *Compiled) stepAccepts(i int, e event.Event) bool {
-	if set := c.sets[i]; set != nil && !set.has(e.Type) {
+// stepAccepts reports whether kept entry i of v can satisfy step si. The
+// type test reads only the entry's type; the event is fetched for the
+// content predicate alone.
+func (c *Compiled) stepAccepts(si int, v *window.View, i int) bool {
+	if set := c.sets[si]; set != nil && !set.has(v.Type(i)) {
 		return false
 	}
-	if pred := c.p.Steps[i].Pred; pred != nil {
-		return pred(e)
+	if pred := c.p.Steps[si].Pred; pred != nil {
+		return pred(v.Event(i))
 	}
 	return true
 }
 
-// Match finds at most one match in the window entries according to the
-// pattern's selection policy — the paper's evaluation setting of one
-// complex event per window. Entries must be in window order. The returned
-// constituents are freshly scoped to this call; hot paths should use
-// MatchWith with a reused scratch instead.
-func (c *Compiled) Match(entries []window.Entry) (Match, bool) {
+// Match finds at most one match in the window's kept entries according
+// to the pattern's selection policy — the paper's evaluation setting of
+// one complex event per window. The returned constituents are freshly
+// scoped to this call; hot paths should use MatchWith with a reused
+// scratch instead.
+func (c *Compiled) Match(entries window.View) (Match, bool) {
 	var s MatchScratch
 	return c.MatchWith(&s, entries)
 }
@@ -274,9 +277,9 @@ func (c *Compiled) Match(entries []window.Entry) (Match, bool) {
 // Constituents alias the scratch and are only valid until the next
 // MatchWith/MatchAllWith call with the same scratch; copy them (e.g. via
 // Seqs) before that if they must outlive it.
-func (c *Compiled) MatchWith(s *MatchScratch, entries []window.Entry) (Match, bool) {
+func (c *Compiled) MatchWith(s *MatchScratch, entries window.View) (Match, bool) {
 	s.consts = s.consts[:0]
-	if !c.matchOnce(s, entries) {
+	if !c.matchOnce(s, &entries) {
 		return Match{}, false
 	}
 	return Match{Constituents: s.consts}, true
@@ -284,7 +287,7 @@ func (c *Compiled) MatchWith(s *MatchScratch, entries []window.Entry) (Match, bo
 
 // matchOnce dispatches one match attempt per the selection policy,
 // appending the constituents to s.consts.
-func (c *Compiled) matchOnce(s *MatchScratch, entries []window.Entry) bool {
+func (c *Compiled) matchOnce(s *MatchScratch, entries *window.View) bool {
 	if c.p.Anchored {
 		return c.matchAnchored(s, entries)
 	}
@@ -303,12 +306,12 @@ func (c *Compiled) matchOnce(s *MatchScratch, entries []window.Entry) bool {
 // (position 0); the remaining steps follow the selection policy. If
 // shedding dropped the opening event, the match fails — the pattern's
 // anchor is gone.
-func (c *Compiled) matchAnchored(s *MatchScratch, entries []window.Entry) bool {
-	if len(entries) == 0 || entries[0].Pos != 0 || !c.stepAccepts(0, entries[0].Ev) {
+func (c *Compiled) matchAnchored(s *MatchScratch, entries *window.View) bool {
+	if entries.Len() == 0 || entries.Pos(0) != 0 || !c.stepAccepts(0, entries, 0) {
 		return false
 	}
 	base := len(s.consts)
-	s.consts = append(s.consts, entries[0])
+	s.consts = append(s.consts, entries.At(0))
 	if len(c.p.Steps) == 1 {
 		return true
 	}
@@ -333,8 +336,9 @@ func (c *Compiled) matchAnchored(s *MatchScratch, entries []window.Entry) bool {
 // consumed and unavailable. Greedy earliest selection is complete for
 // sequence patterns: if any match exists, the greedy one exists (standard
 // exchange argument).
-func (c *Compiled) matchFirst(s *MatchScratch, entries []window.Entry, stepStart, from int, useSkip bool) bool {
+func (c *Compiled) matchFirst(s *MatchScratch, entries *window.View, stepStart, from int, useSkip bool) bool {
 	base := len(s.consts)
+	n := entries.Len()
 	i := from
 	for si := stepStart; si < len(c.p.Steps); si++ {
 		st := &c.p.Steps[si]
@@ -342,19 +346,19 @@ func (c *Compiled) matchFirst(s *MatchScratch, entries []window.Entry, stepStart
 			// Conjunction: collect one event of every required type, any
 			// order (earliest instances).
 			need := s.loadStep(st.Types)
-			for ; i < len(entries) && need > 0; i++ {
+			for ; i < n && need > 0; i++ {
 				if useSkip && s.skip[i] {
 					continue
 				}
-				e := entries[i].Ev
-				if !s.setHas(e.Type) {
+				t := entries.Type(i)
+				if !s.setHas(t) {
 					continue
 				}
-				if st.Pred != nil && !st.Pred(e) {
+				if st.Pred != nil && !st.Pred(entries.Event(i)) {
 					continue
 				}
-				s.consts = append(s.consts, entries[i])
-				s.setRemove(e.Type)
+				s.consts = append(s.consts, entries.At(i))
+				s.setRemove(t)
 				need--
 			}
 			if need > 0 {
@@ -374,18 +378,17 @@ func (c *Compiled) matchFirst(s *MatchScratch, entries []window.Entry, stepStart
 				s.loadStep(nil) // taken set starts empty
 			}
 			got := 0
-			for ; i < len(entries); i++ {
+			for ; i < n; i++ {
 				if useSkip && s.skip[i] {
 					continue
 				}
-				e := entries[i].Ev
-				if !c.stepAccepts(si, e) {
+				if !c.stepAccepts(si, entries, i) {
 					continue
 				}
-				if st.Distinct && !s.takeDistinct(e.Type) {
+				if st.Distinct && !s.takeDistinct(entries.Type(i)) {
 					continue
 				}
-				s.consts = append(s.consts, entries[i])
+				s.consts = append(s.consts, entries.At(i))
 				got++
 			}
 			if got < min {
@@ -396,12 +399,12 @@ func (c *Compiled) matchFirst(s *MatchScratch, entries []window.Entry, stepStart
 		}
 		if st.AnyN == 0 {
 			found := false
-			for ; i < len(entries); i++ {
+			for ; i < n; i++ {
 				if useSkip && s.skip[i] {
 					continue
 				}
-				if c.stepAccepts(si, entries[i].Ev) {
-					s.consts = append(s.consts, entries[i])
+				if c.stepAccepts(si, entries, i) {
+					s.consts = append(s.consts, entries.At(i))
 					i++
 					found = true
 					break
@@ -418,18 +421,17 @@ func (c *Compiled) matchFirst(s *MatchScratch, entries []window.Entry, stepStart
 			s.loadStep(nil)
 		}
 		need := st.AnyN
-		for ; i < len(entries) && need > 0; i++ {
+		for ; i < n && need > 0; i++ {
 			if useSkip && s.skip[i] {
 				continue
 			}
-			e := entries[i].Ev
-			if !c.stepAccepts(si, e) {
+			if !c.stepAccepts(si, entries, i) {
 				continue
 			}
-			if st.Distinct && !s.takeDistinct(e.Type) {
+			if st.Distinct && !s.takeDistinct(entries.Type(i)) {
 				continue
 			}
-			s.consts = append(s.consts, entries[i])
+			s.consts = append(s.consts, entries.At(i))
 			need--
 		}
 		if need > 0 {
@@ -443,9 +445,9 @@ func (c *Compiled) matchFirst(s *MatchScratch, entries []window.Entry, stepStart
 // matchLast chooses the latest instances for steps[stepStart:] over
 // entries[entStart:]: it scans backward with the steps reversed, which is
 // the mirror image of matchFirst and equally complete.
-func (c *Compiled) matchLast(s *MatchScratch, entries []window.Entry, stepStart, entStart int) bool {
+func (c *Compiled) matchLast(s *MatchScratch, entries *window.View, stepStart, entStart int) bool {
 	base := len(s.consts)
-	i := len(entries) - 1
+	i := entries.Len() - 1
 	for si := len(c.p.Steps) - 1; si >= stepStart; si-- {
 		st := &c.p.Steps[si]
 		if st.All {
@@ -453,15 +455,15 @@ func (c *Compiled) matchLast(s *MatchScratch, entries []window.Entry, stepStart,
 			// one event of every required type.
 			need := s.loadStep(st.Types)
 			for ; i >= entStart && need > 0; i-- {
-				e := entries[i].Ev
-				if !s.setHas(e.Type) {
+				t := entries.Type(i)
+				if !s.setHas(t) {
 					continue
 				}
-				if st.Pred != nil && !st.Pred(e) {
+				if st.Pred != nil && !st.Pred(entries.Event(i)) {
 					continue
 				}
-				s.consts = append(s.consts, entries[i])
-				s.setRemove(e.Type)
+				s.consts = append(s.consts, entries.At(i))
+				s.setRemove(t)
 				need--
 			}
 			if need > 0 {
@@ -473,8 +475,8 @@ func (c *Compiled) matchLast(s *MatchScratch, entries []window.Entry, stepStart,
 		if st.AnyN == 0 {
 			found := false
 			for ; i >= entStart; i-- {
-				if c.stepAccepts(si, entries[i].Ev) {
-					s.consts = append(s.consts, entries[i])
+				if c.stepAccepts(si, entries, i) {
+					s.consts = append(s.consts, entries.At(i))
 					i--
 					found = true
 					break
@@ -491,14 +493,13 @@ func (c *Compiled) matchLast(s *MatchScratch, entries []window.Entry, stepStart,
 		}
 		need := st.AnyN
 		for ; i >= entStart && need > 0; i-- {
-			e := entries[i].Ev
-			if !c.stepAccepts(si, e) {
+			if !c.stepAccepts(si, entries, i) {
 				continue
 			}
-			if st.Distinct && !s.takeDistinct(e.Type) {
+			if st.Distinct && !s.takeDistinct(entries.Type(i)) {
 				continue
 			}
-			s.consts = append(s.consts, entries[i])
+			s.consts = append(s.consts, entries.At(i))
 			need--
 		}
 		if need > 0 {
@@ -518,7 +519,7 @@ func (c *Compiled) matchLast(s *MatchScratch, entries []window.Entry, stepStart,
 // Consumed, matched instances are excluded from later matches; under
 // ConsumeZero, instances may be reused, with successive matches anchored
 // at successive occurrences of the first step (skip-till-next semantics).
-func (c *Compiled) MatchAll(entries []window.Entry, limit int) []Match {
+func (c *Compiled) MatchAll(entries window.View, limit int) []Match {
 	var s MatchScratch
 	return c.MatchAllWith(&s, entries, limit, nil)
 }
@@ -528,31 +529,32 @@ func (c *Compiled) MatchAll(entries []window.Entry, limit int) []Match {
 // the shared constituent backing, when a window yields more matches than
 // any before it) may grow. All returned Constituents alias the scratch
 // and are valid until the next MatchWith/MatchAllWith call with s.
-func (c *Compiled) MatchAllWith(s *MatchScratch, entries []window.Entry, limit int, out []Match) []Match {
+func (c *Compiled) MatchAllWith(s *MatchScratch, entries window.View, limit int, out []Match) []Match {
 	s.consts = s.consts[:0]
 	if c.p.Anchored || c.hasNeg {
 		// An anchored pattern has a unique anchor (the window opener);
 		// negation patterns report a single earliest match (interval
 		// constraints make multi-match enumeration ambiguous).
-		if c.matchOnce(s, entries) {
+		if c.matchOnce(s, &entries) {
 			out = append(out, Match{Constituents: s.consts})
 		}
 		return out
 	}
+	n := entries.Len()
 	switch c.p.Consumption {
 	case Consumed:
-		s.resetSkip(len(entries))
+		s.resetSkip(n)
 		for {
 			base := len(s.consts)
-			if !c.matchFirst(s, entries, 0, 0, true) {
+			if !c.matchFirst(s, &entries, 0, 0, true) {
 				break
 			}
 			m := Match{Constituents: s.consts[base:]}
 			out = append(out, m)
 			for _, ct := range m.Constituents {
 				// Mark consumed entries by index: entries are in window
-				// order, so the position locates the index in O(log n).
-				if i := indexOfPos(entries, ct.Pos); i >= 0 {
+				// order, so the position locates the index.
+				if i := entries.Index(ct.Pos); i >= 0 {
 					s.skip[i] = true
 				}
 			}
@@ -562,11 +564,11 @@ func (c *Compiled) MatchAllWith(s *MatchScratch, entries []window.Entry, limit i
 		}
 	default: // ConsumeZero
 		from := 0
-		for from < len(entries) {
+		for from < n {
 			// Find the next anchor (first-step occurrence) at or after from.
 			anchor := -1
-			for i := from; i < len(entries); i++ {
-				if c.stepAccepts(0, entries[i].Ev) {
+			for i := from; i < n; i++ {
+				if c.stepAccepts(0, &entries, i) {
 					anchor = i
 					break
 				}
@@ -575,7 +577,7 @@ func (c *Compiled) MatchAllWith(s *MatchScratch, entries []window.Entry, limit i
 				break
 			}
 			base := len(s.consts)
-			if !c.matchFirst(s, entries, 0, anchor, false) {
+			if !c.matchFirst(s, &entries, 0, anchor, false) {
 				break
 			}
 			out = append(out, Match{Constituents: s.consts[base:]})

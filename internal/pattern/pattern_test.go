@@ -10,13 +10,14 @@ import (
 	"repro/internal/window"
 )
 
-// entries builds window entries from a type sequence; position = index.
-func entries(types ...event.Type) []window.Entry {
-	out := make([]window.Entry, len(types))
+// entries builds a window view from a type sequence, laid out as an
+// owner's ring segment with nothing dropped: position = index.
+func entries(types ...event.Type) window.View {
+	w := &window.Window{}
 	for i, t := range types {
-		out[i] = window.Entry{Ev: event.Event{Seq: uint64(i), Type: t}, Pos: i}
+		w.Add(event.Event{Seq: uint64(i), Type: t}, i)
 	}
-	return out
+	return *w.Entries()
 }
 
 func seqs(m Match) []uint64 { return m.Seqs() }
@@ -139,7 +140,7 @@ func TestSequenceNoMatch(t *testing.T) {
 	if _, ok := c.Match(entries(a)); ok {
 		t.Error("incomplete match must fail")
 	}
-	if _, ok := c.Match(nil); ok {
+	if _, ok := c.Match(window.View{}); ok {
 		t.Error("empty window must not match")
 	}
 }
@@ -229,12 +230,12 @@ func TestPredicateFiltering(t *testing.T) {
 		{Types: []event.Type{a}, Pred: rising},
 		{Types: []event.Type{b}, Pred: rising},
 	}})
-	ents := []window.Entry{
+	ents := window.NewView([]window.Entry{
 		{Ev: event.Event{Seq: 0, Type: a, Kind: event.KindFalling}, Pos: 0},
 		{Ev: event.Event{Seq: 1, Type: a, Kind: event.KindRising}, Pos: 1},
 		{Ev: event.Event{Seq: 2, Type: b, Kind: event.KindFalling}, Pos: 2},
 		{Ev: event.Event{Seq: 3, Type: b, Kind: event.KindRising}, Pos: 3},
-	}
+	})
 	m, ok := c.Match(ents)
 	if !ok {
 		t.Fatal("no match")
@@ -335,10 +336,10 @@ func TestTypeWeights(t *testing.T) {
 
 // bruteForceSeq reports whether a pure single-event-step sequence pattern
 // has any match in the entries (exponential-free DP scan).
-func bruteForceSeq(c *Compiled, ents []window.Entry) bool {
+func bruteForceSeq(c *Compiled, ents window.View) bool {
 	step := 0
-	for i := 0; i < len(ents) && step < len(c.p.Steps); i++ {
-		if c.stepAccepts(step, ents[i].Ev) {
+	for i := 0; i < ents.Len() && step < len(c.p.Steps); i++ {
+		if c.stepAccepts(step, &ents, i) {
 			step++
 		}
 	}
@@ -473,10 +474,10 @@ func TestAnchoredOpenerDroppedByShedding(t *testing.T) {
 		Anchored: true,
 	})
 	// Shedding dropped position 0: first kept entry has Pos 1.
-	ents := []window.Entry{
+	ents := window.NewView([]window.Entry{
 		{Ev: event.Event{Seq: 10, Type: str}, Pos: 1},
 		{Ev: event.Event{Seq: 11, Type: d1}, Pos: 2},
-	}
+	})
 	if _, ok := c.Match(ents); ok {
 		t.Error("anchored pattern must fail when the opener was shed")
 	}
@@ -532,7 +533,7 @@ func TestAnchoredMatchAllSingleMatch(t *testing.T) {
 	if got := c.MatchAll(entries(b, a, b), 0); len(got) != 0 {
 		t.Errorf("unanchored window matched: %v", got)
 	}
-	if got := c.MatchAll(nil, 0); len(got) != 0 {
+	if got := c.MatchAll(window.View{}, 0); len(got) != 0 {
 		t.Errorf("empty window matched: %v", got)
 	}
 }
@@ -560,12 +561,12 @@ func TestMatchWithScratchReuse(t *testing.T) {
 			{Types: []event.Type{5, 6}, All: true},
 		},
 	})
-	streams := [][]window.Entry{
+	streams := []window.View{
 		entries(1, 2, 3, 5, 6),
 		entries(1, 2, 2, 3, 6, 5),
 		entries(7, 1, 4, 3, 5, 5, 6),
 		entries(1, 2, 5, 6), // fails: any-step needs 2 distinct
-		nil,
+		{},
 	}
 	var s MatchScratch
 	for i, ents := range streams {
@@ -670,7 +671,7 @@ func TestConsumedMarkingLargeWindow(t *testing.T) {
 			window.Entry{Ev: event.Event{Seq: uint64(2*i + 1), Type: 2}, Pos: 3*i + 1},
 		)
 	}
-	ms := c.MatchAll(ents, 0)
+	ms := c.MatchAll(window.NewView(ents), 0)
 	if len(ms) != pairs {
 		t.Fatalf("matches = %d, want %d", len(ms), pairs)
 	}
@@ -724,5 +725,47 @@ func TestHugeTypeIdsBoundedMemory(t *testing.T) {
 	}
 	if _, ok := conj.MatchWith(&s, entries(huge2, 5)); ok {
 		t.Error("conjunction must not accept a different huge id")
+	}
+}
+
+// Property: a window read through its drop index (positions skipped by
+// the shedder) matches exactly like the same kept entries handed over
+// explicitly — first and last selection, both consumption policies.
+func TestViewLayoutsAgreeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		steps := make([]Step, rng.Intn(3)+1)
+		for i := range steps {
+			steps[i] = Step{Types: []event.Type{event.Type(rng.Intn(3))}}
+		}
+		w := &window.Window{}
+		var kept []window.Entry
+		for p := 0; p < 60; p++ {
+			if rng.Intn(3) == 0 {
+				continue // dropped
+			}
+			e := event.Event{Seq: uint64(p), Type: event.Type(rng.Intn(3))}
+			w.Add(e, p)
+			kept = append(kept, window.Entry{Ev: e, Pos: p})
+		}
+		indexed, explicit := *w.Entries(), window.NewView(kept)
+		for _, sel := range []SelectionPolicy{SelectFirst, SelectLast} {
+			c := MustCompile(Pattern{Steps: steps, Selection: sel})
+			a, okA := c.Match(indexed)
+			b, okB := c.Match(explicit)
+			if okA != okB || !reflect.DeepEqual(a, b) {
+				return false
+			}
+		}
+		for _, cons := range []ConsumptionPolicy{ConsumeZero, Consumed} {
+			c := MustCompile(Pattern{Steps: steps, Consumption: cons})
+			if !reflect.DeepEqual(c.MatchAll(indexed, 0), c.MatchAll(explicit, 0)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -66,9 +66,9 @@ const opsFlushBatch = 512
 // tracker is a plain window.Manager used only for bookkeeping: it
 // decides opens, closes and size predictions exactly as the serial
 // operator's manager does, but its windows carry no payload — events
-// are never Added to them. The payload windows live in the shards, each
+// never reach them. The payload windows live in the shards, each
 // shard's open ones in ascending window ID, and a window's whole life
-// (open, add, shed, close, match, recycle) happens on the goroutine of
+// (open, position, shed, close, match, recycle) happens on the goroutine of
 // the shard placeShard picked at its open: windows never change shard,
 // so no shard ever waits on another. tracker windows are recycled through the manager's own
 // pool the moment their close op is emitted.

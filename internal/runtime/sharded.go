@@ -16,7 +16,7 @@ import (
 )
 
 // shard is one parallel operator instance. It owns every window the
-// partitioner assigned to it — open, membership add, shed decision,
+// partitioner assigned to it — open, position, shed decision,
 // close, matching and pool recycling all happen on the shard goroutine,
 // against shard-local state — and it replays the partitioner's compiled
 // op stream in FIFO order, which is what makes the per-window
@@ -55,6 +55,11 @@ type shard struct {
 	// channel.
 	open []*window.Window
 	pool window.Pool
+	// ring holds every event routed to the shard, once: an event op
+	// reaches every open window the shard owns, so window w's position p
+	// is the ring's event w.Start+p. It is trimmed to open[0].Start after
+	// each close.
+	ring window.Ring
 
 	// latBuf collects the batch's latency samples; they fold into the
 	// lock-protected trace once per batch instead of once per sample.
@@ -160,17 +165,18 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 		switch op.kind & opKindMask {
 		case opEvent:
 			// One membership per open window, positions handed out here:
-			// each window has seen exactly the tracker's arrivals.
+			// each window has seen exactly the tracker's arrivals. The
+			// event itself is stored once, in the ring.
 			ev := b.events[op.evIdx]
+			s.ring.Push(ev)
 			for _, w := range s.open {
 				pos := w.Arrivals
 				w.Arrivals++
 				if operator.ShedDecision(s.decider, s.batched, ev.Type, pos,
 					w.ExpectedSize, decisions, drops) {
-					w.Dropped++
+					w.Drop(pos)
 					shed++
 				} else {
-					w.Add(ev, pos)
 					kept++
 					if s.delay > 0 {
 						time.Sleep(s.delay)
@@ -192,6 +198,7 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 			w.OpenSeq = ev.Seq
 			w.OpenTS = ev.TS
 			w.ExpectedSize = int(op.a)
+			w.Start = s.ring.End() // the opening event's event op follows
 			s.open = append(s.open, w)
 		case opClose:
 			w := s.take(op.win)
@@ -203,6 +210,11 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 				Epoch: op.a,
 				Val:   s.closeOwned(w, event.Time(op.b)),
 			})
+			if len(s.open) > 0 {
+				s.ring.Trim(s.open[0].Start)
+			} else {
+				s.ring.Trim(s.ring.End())
+			}
 		}
 	}
 	s.memberships.Add(members)
@@ -239,13 +251,14 @@ func (s *shard) processBatch(b *shardBatch, decisions, drops *uint64) {
 }
 
 // closeOwned mirrors operator.closeWindow for one shard-owned window:
-// seal, match, tap, hook, recycle. The returned complex events are the
-// window's merge payload; they reference no window memory, so the
-// window goes straight back to the shard's pool — release is local and
-// never lossy.
+// seal, bind to the ring, match, tap, hook, recycle. The returned
+// complex events are the window's merge payload; they reference no
+// window memory, so the window goes straight back to the shard's pool —
+// release is local and never lossy.
 func (s *shard) closeOwned(w *window.Window, now event.Time) []operator.ComplexEvent {
 	s.windowsClosed.Add(1)
 	w.MarkClosed()
+	w.Bind(&s.ring)
 	ces, matched, found := s.matcher.MatchClosed(w, now, nil)
 	if found {
 		s.windowsWithMatch.Add(1)

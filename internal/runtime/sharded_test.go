@@ -322,8 +322,9 @@ func ExamplePipeline_sharded() {
 
 // TestShardedWindowReuseHookIntegrity churns thousands of pooled windows
 // through a sharded pipeline with an OnWindowClose hook and asserts the
-// hook always observes live (un-poisoned, in-range) data: a shard must
-// never recycle a window into its pool before the hook is done with it.
+// hook always observes live (in-range, own-window) data: a shard must
+// never recycle a window into its pool, or trim its ring, before the
+// hook is done with it.
 // The hook runs on the shard goroutines — concurrently across shards,
 // per the sharded OnWindowClose contract — so its counters are atomic.
 // Run with -race to exercise the full handoff.
@@ -337,14 +338,16 @@ func TestShardedWindowReuseHookIntegrity(t *testing.T) {
 			badEntries.Add(1)
 		}
 		lastPos := -1
-		for _, ent := range w.Kept {
+		v := w.Entries()
+		for i := 0; i < v.Len(); i++ {
+			ent := v.At(i)
 			hookEntries.Add(1)
 			if ent.Pos <= lastPos || ent.Pos >= w.Size() {
 				badEntries.Add(1)
 			}
 			lastPos = ent.Pos
 			if ent.Ev.Type != event.Type(ent.Ev.Seq%2) {
-				badEntries.Add(1) // poisoned or cross-window data
+				badEntries.Add(1) // detached or cross-window data
 			}
 		}
 		for _, ent := range matched {
@@ -362,7 +365,7 @@ func TestShardedWindowReuseHookIntegrity(t *testing.T) {
 		t.Fatal("hook never ran")
 	}
 	if n := badEntries.Load(); n != 0 {
-		t.Fatalf("%d poisoned/corrupt entries observed in OnWindowClose", n)
+		t.Fatalf("%d corrupt entries observed in OnWindowClose", n)
 	}
 	if uint64(hookWindows.Load()) != st.Operator.WindowsClosed {
 		t.Errorf("hook saw %d windows, closed %d", hookWindows.Load(), st.Operator.WindowsClosed)

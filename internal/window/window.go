@@ -101,23 +101,30 @@ func (s Spec) Validate() error {
 }
 
 // Entry is an event kept in a window together with its arrival position
-// (0-based, counting dropped events too).
+// (0-based, counting dropped events too). Entries are handed out as
+// values: a window stores positions, and its events live once in the
+// owner's Ring.
 type Entry struct {
 	Ev  event.Event
 	Pos int
 }
 
 // Window is one window instance: the unit of pattern matching and of
-// shedding decisions. Events are buffered until the window closes, at
-// which point the CEP operator runs the matcher over the kept entries.
+// shedding decisions. A window stores no events: its owner keeps every
+// event it routes once, in a Ring, and position p of the window is the
+// ring's event Start+p. The window records only how many positions it
+// handed out and which of them the shedder dropped; at close the owner
+// Binds it to its ring segment and the matcher reads the kept entries
+// through Entries.
 //
-// Windows are pooled: once a closed window has been handed back to its
-// Manager via Release, the struct and its Kept buffer are recycled for a
-// future window. Consumers of closed windows (matchers, OnWindowClose
-// hooks) must therefore not retain the *Window or any Kept entries past
-// their return — copy what must survive. Release poisons the entries
-// (Pos = -1, zeroed event) so a violated contract surfaces as corrupt
-// data in tests rather than as silent aliasing in production.
+// Windows are pooled: once a closed window has been handed back via
+// Manager.Release or Pool.Put, the struct is recycled for a future
+// window. Release detaches it first — a retained *Window reads
+// Size() == 0 and an empty Entries() — but the ring a View read is
+// shared with windows still open, so consumers of closed windows
+// (matchers, OnWindowClose hooks) must not retain the *Window or its
+// View past their return; entries taken out of a View (At, CopyKept)
+// are values and may be kept.
 type Window struct {
 	ID      ID
 	OpenSeq uint64     // sequence number of the opening event
@@ -134,15 +141,67 @@ type Window struct {
 	// Pool.Put zero it with the rest of the struct.
 	Tag uint64
 
-	Kept     []Entry
+	// Start is the absolute index, in the owner's Ring, of the event at
+	// position 0; the owner sets it when the window opens.
+	Start    uint64
 	Arrivals int // positions handed out, including dropped events
 	Dropped  int
 	closed   bool
+
+	drops []uint64      // bit p set: position p was dropped; grows only on a drop
+	view  View          // kept entries, set by Bind (or rebuilt after Add)
+	idx   []int32       // backing of view's kept-position index, reused
+	evs   []event.Event // Add's own event buffer, indexed by position
+	stale bool          // evs changed since view was built
 }
 
-// Add appends a kept event at the given position.
+// Drop records that the shedder dropped the event at position pos.
+func (w *Window) Drop(pos int) {
+	w.mark(pos)
+	w.Dropped++
+}
+
+// mark sets position pos in the drop bitmask.
+func (w *Window) mark(pos int) {
+	word := pos >> 6
+	for len(w.drops) <= word {
+		w.drops = append(w.drops, 0)
+	}
+	w.drops[word] |= 1 << (uint(pos) & 63)
+}
+
+// Bind points the window's entries at its segment of the owner's ring,
+// without copying: Entries then reads the ring in place. When something
+// was dropped, Bind builds the kept-position index once. The owner calls
+// it when the window closes, before matching; the view is valid until
+// the window is released or the ring is trimmed.
+func (w *Window) Bind(r *Ring) {
+	w.view, w.idx = viewOf(r.Segment(w.Start, w.Arrivals), w.drops, w.idx)
+	w.stale = false
+}
+
+// Add stores e at position pos in the window's own event buffer, for
+// windows filled outside an owner with a ring (tests, benchmarks, facade
+// callers driving a Manager directly). Positions must increase from
+// call to call; positions skipped since the previous Add are marked
+// dropped (the Dropped counter stays the caller's to keep).
 func (w *Window) Add(e event.Event, pos int) {
-	w.Kept = append(w.Kept, Entry{Ev: e, Pos: pos})
+	for p := len(w.evs); p < pos; p++ {
+		w.mark(p)
+		w.evs = append(w.evs, event.Event{})
+	}
+	w.evs = append(w.evs, e)
+	w.stale = true
+}
+
+// Entries returns the window's kept entries in window order. The view
+// belongs to the window: it is valid until the window is released.
+func (w *Window) Entries() *View {
+	if w.stale {
+		w.view, w.idx = viewOf(w.evs, w.drops, w.idx)
+		w.stale = false
+	}
+	return &w.view
 }
 
 // Size returns the total number of events routed to the window (kept +
@@ -150,17 +209,15 @@ func (w *Window) Add(e event.Event, pos int) {
 func (w *Window) Size() int { return w.Arrivals }
 
 // CopyKept appends copies of the window's kept entries to dst and returns
-// the extended slice. Hooks and taps that must keep entries past their
-// OnWindowClose return use it to honor the pooling contract: the window's
-// own Kept buffer is recycled (and poisoned) by Release.
+// the extended slice, for hooks and taps that must keep entries past
+// their OnWindowClose return.
 func (w *Window) CopyKept(dst []Entry) []Entry {
-	return append(dst, w.Kept...)
+	v := w.Entries()
+	for i := 0; i < v.Len(); i++ {
+		dst = append(dst, v.At(i))
+	}
+	return dst
 }
-
-// Poisoned reports whether the entry was clobbered by Release — i.e. some
-// consumer illegally retained it past the window's recycling. Valid
-// entries always carry a non-negative position.
-func (e Entry) Poisoned() bool { return e.Pos < 0 }
 
 // Closed reports whether the window has been closed by the manager.
 func (w *Window) Closed() bool { return w.closed }
@@ -178,13 +235,13 @@ type Membership struct {
 	Pos int
 }
 
-// Pool recycles Window structs and their Kept buffers. It is the
-// freelist behind Manager and behind each shard of the sharded runtime:
-// a single-goroutine component (one owner puts and gets), with only the
-// observability counters behind atomics so Stats snapshots may read
-// them from other goroutines. Put poisons the entries exactly like
-// Manager.Release, so the retain-past-close contract stays enforceable
-// no matter which deployment owns the window.
+// Pool recycles Window structs and their bitmask and index buffers. It
+// is the freelist behind Manager and behind each shard of the sharded
+// runtime: a single-goroutine component (one owner puts and gets), with
+// only the observability counters behind atomics so Stats snapshots may
+// read them from other goroutines. Put detaches the window exactly like
+// Manager.Release, so the retain-past-close contract reads the same no
+// matter which deployment owns the window.
 type Pool struct {
 	free []*Window
 
@@ -193,7 +250,7 @@ type Pool struct {
 	misses atomic.Uint64
 }
 
-// Get returns a recycled window (zeroed, with its Kept capacity intact)
+// Get returns a recycled window (zeroed, with its buffer capacity intact)
 // or allocates a fresh one when the pool is empty, counting a miss.
 func (p *Pool) Get() *Window {
 	p.gets.Add(1)
@@ -207,19 +264,17 @@ func (p *Pool) Get() *Window {
 	return &Window{}
 }
 
-// Put recycles a window: the kept entries are poisoned (Pos = -1, event
-// zeroed) so illegally retained references surface as corrupt data, the
-// struct is zeroed, and the Kept buffer is kept for reuse.
+// Put recycles a window: the struct is zeroed — detached from its ring
+// segment, so a retained reference reads Size() == 0 and an empty
+// Entries() — and its buffers are kept for reuse. The ring is shared
+// with windows still open, so nothing in it is clobbered.
 func (p *Pool) Put(w *Window) {
 	if w == nil {
 		return
 	}
 	p.puts.Add(1)
-	for i := range w.Kept {
-		w.Kept[i] = Entry{Pos: -1}
-	}
-	kept := w.Kept[:0]
-	*w = Window{Kept: kept}
+	clear(w.evs) // drop Add-buffered events' attribute references
+	*w = Window{drops: w.drops[:0], idx: w.idx[:0], evs: w.evs[:0]}
 	p.free = append(p.free, w)
 }
 
@@ -260,7 +315,7 @@ type Manager struct {
 	memberBuf []Membership
 	closedBuf []*Window
 
-	// pool recycles released windows (and their Kept buffers): the data
+	// pool recycles released windows (and their buffers): the data
 	// path opens and closes windows continuously, and reusing the buffers
 	// makes the steady-state hot path allocation-free. The Manager is a
 	// single-goroutine component, so the pool needs no locking; the
@@ -313,6 +368,15 @@ func (m *Manager) ExpectedSize() int {
 		return 0
 	}
 	return int(m.expSize + 0.5)
+}
+
+// Oldest returns the earliest-opened window still open, or nil: its Start
+// is where the owner's ring may be trimmed to.
+func (m *Manager) Oldest() *Window {
+	if len(m.open) == 0 {
+		return nil
+	}
+	return m.open[0]
 }
 
 // Route processes the next event in stream order. It returns the windows
@@ -439,10 +503,10 @@ func (m *Manager) closeWindow(w *Window) {
 
 // Release hands a closed window back to the manager for reuse. Call it
 // after the window's consumers (matcher, OnWindowClose hook) have
-// returned; the window and its entries must not be referenced afterwards.
-// Release poisons the kept entries — Pos becomes -1 and the event is
-// zeroed — so a consumer that illegally retained them observes clobbered
-// data instead of silently reading a recycled window. Releasing is
+// returned; the window and its View must not be referenced afterwards.
+// Release detaches the window (see Pool.Put), so a consumer that
+// illegally retained it reads an empty window instead of silently
+// reading a recycled one. Releasing is
 // optional (an unreleased window is simply garbage collected) and must
 // happen on the manager's goroutine. Still-open windows and double
 // releases are ignored.

@@ -280,14 +280,84 @@ func TestWindowAddAndDropAccounting(t *testing.T) {
 	w.Add(ev(0, 0), 0)
 	w.Add(ev(2, 0), 2)
 	w.Dropped = 3
-	if len(w.Kept) != 2 {
-		t.Fatalf("Kept = %d", len(w.Kept))
+	v := w.Entries()
+	if v.Len() != 2 {
+		t.Fatalf("kept entries = %d", v.Len())
 	}
-	if w.Kept[1].Pos != 2 {
-		t.Errorf("pos = %d", w.Kept[1].Pos)
+	if v.Pos(1) != 2 || v.At(1).Ev.Seq != 2 {
+		t.Errorf("entry 1 = %+v", v.At(1))
+	}
+	if v.Index(1) != -1 || v.Index(2) != 1 {
+		t.Errorf("Index(1), Index(2) = %d, %d; want -1, 1", v.Index(1), v.Index(2))
 	}
 	if w.Size() != 5 {
 		t.Errorf("Size() = %d", w.Size())
+	}
+}
+
+// TestBindReadsRingInPlace pins the owner path: a window stores only
+// Start, Arrivals and drop marks, and Bind exposes its ring segment
+// minus the dropped positions, without copying.
+func TestBindReadsRingInPlace(t *testing.T) {
+	var r Ring
+	r.Push(ev(100, 0)) // before the window opened
+	w := &Window{Start: r.End()}
+	for i := uint64(0); i < 5; i++ {
+		r.Push(ev(i, event.Time(i)))
+		w.Arrivals++
+	}
+	w.Drop(1)
+	w.Drop(3)
+	w.Bind(&r)
+	v := w.Entries()
+	if v.Len() != 3 || w.Dropped != 2 {
+		t.Fatalf("kept %d, dropped %d; want 3, 2", v.Len(), w.Dropped)
+	}
+	for i, want := range []int{0, 2, 4} {
+		if e := v.At(i); e.Pos != want || e.Ev.Seq != uint64(want) || v.Type(i) != e.Ev.Type {
+			t.Errorf("entry %d = %+v, want position and seq %d", i, e, want)
+		}
+		if v.Index(want) != i {
+			t.Errorf("Index(%d) = %d, want %d", want, v.Index(want), i)
+		}
+	}
+	if v.Index(3) != -1 {
+		t.Errorf("dropped position 3 indexed at %d", v.Index(3))
+	}
+
+	// No drops: the view is the segment itself, and no index is built.
+	w2 := &Window{Start: w.Start + 2, Arrivals: 3}
+	w2.Bind(&r)
+	if v2 := w2.Entries(); v2.Len() != 3 || v2.Pos(2) != 2 || v2.Event(0).Seq != 2 || v2.Index(2) != 2 {
+		t.Errorf("undropped view = len %d, pos(2) %d", v2.Len(), v2.Pos(2))
+	}
+}
+
+// TestRingTrimCompacts checks that trimming keeps absolute indices
+// stable across compaction and bounds what the ring holds.
+func TestRingTrimCompacts(t *testing.T) {
+	var r Ring
+	for i := uint64(0); i < 1000; i++ {
+		at := r.Push(ev(i, 0))
+		if at != i {
+			t.Fatalf("Push %d returned index %d", i, at)
+		}
+		if i >= 10 {
+			r.Trim(i - 10) // keep the last ten events live
+		}
+		if bound := r.Live() + max(r.Live(), RingSlack); r.Len() > bound {
+			t.Fatalf("after %d pushes the ring holds %d events, bound %d", i+1, r.Len(), bound)
+		}
+	}
+	seg := r.Segment(990, 10)
+	for i, e := range seg {
+		if e.Seq != uint64(990+i) {
+			t.Fatalf("segment[%d] = seq %d after compaction", i, e.Seq)
+		}
+	}
+	r.Trim(r.End() + 5) // past the end: clamped
+	if r.Live() != 0 || r.End() != 1000 {
+		t.Errorf("after a full trim: live %d, end %d", r.Live(), r.End())
 	}
 }
 
@@ -455,7 +525,7 @@ func TestPatternCloseBackstopStillApplies(t *testing.T) {
 	}
 }
 
-// --- Window pooling (freelist reuse, poisoning, allocation freedom) -----
+// --- Window pooling (freelist reuse, detaching, allocation freedom) ----
 
 func TestReleaseRecyclesWindows(t *testing.T) {
 	m, err := NewManager(Spec{Mode: ModeCount, Count: 2, Slide: 2})
@@ -471,16 +541,16 @@ func TestReleaseRecyclesWindows(t *testing.T) {
 	first = closed[0]
 	first.Add(ev(0, 0), 0)
 	first.Add(ev(1, 1), 1)
-	kept := first.Kept // retain illegally, to observe the poisoning
+	kept := first.CopyKept(nil) // values: safe to keep past Release
 	m.Release(first)
 
-	for i, e := range kept {
-		if e.Pos != -1 || e.Ev.Seq != 0 {
-			t.Errorf("released entry %d not poisoned: %+v", i, e)
-		}
+	// A retained reference reads a detached, empty window...
+	if first.Closed() || first.Size() != 0 || first.Dropped != 0 || first.Entries().Len() != 0 {
+		t.Errorf("released window not detached: size %d, entries %d", first.Size(), first.Entries().Len())
 	}
-	if first.Closed() || first.Arrivals != 0 || first.Dropped != 0 || len(first.Kept) != 0 {
-		t.Errorf("released window not reset: %+v", first)
+	// ...while the copied entries keep their values.
+	if len(kept) != 2 || kept[1].Pos != 1 || kept[1].Ev.Seq != 1 {
+		t.Errorf("copied entries changed by Release: %+v", kept)
 	}
 
 	// The next opened window must reuse the released struct.
@@ -546,40 +616,50 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 // TestPoolRecyclesAndCounts pins the standalone Pool contract the
 // sharded runtime's per-shard window ownership relies on: Get recycles
 // released structs (counting misses only on true allocations), Put
-// poisons and zeroes — including deployment scratch like Tag — while
-// keeping the Kept capacity warm.
+// detaches and zeroes — including deployment scratch like Tag and the
+// ring binding — while keeping the buffers warm.
 func TestPoolRecyclesAndCounts(t *testing.T) {
 	var p Pool
 	w := p.Get()
 	if p.Gets() != 1 || p.Misses() != 1 {
 		t.Fatalf("first Get: gets=%d misses=%d, want 1/1", p.Gets(), p.Misses())
 	}
+	var r Ring
 	w.ID = 7
 	w.Tag = 1<<63 | 42
-	w.Add(ev(1, 1), 0)
-	w.Add(ev(2, 2), 1)
-	w.Arrivals = 2
-	w.MarkClosed()
-	kept := w.Kept // retain illegally, to observe the poisoning
-	keptCap := cap(w.Kept)
-	p.Put(w)
-	for i, e := range kept {
-		if !e.Poisoned() {
-			t.Errorf("entry %d not poisoned after Put: %+v", i, e)
-		}
+	w.Start = r.End()
+	for i := uint64(0); i < 3; i++ {
+		r.Push(ev(i, event.Time(i)))
+		w.Arrivals++
 	}
-	r := p.Get()
-	if r != w {
+	w.Drop(1)
+	w.MarkClosed()
+	w.Bind(&r)
+	if w.Entries().Len() != 2 {
+		t.Fatalf("bound window holds %d entries, want 2", w.Entries().Len())
+	}
+	p.Put(w)
+	if w.Size() != 0 || w.Entries().Len() != 0 {
+		t.Errorf("Put did not detach: size %d, entries %d", w.Size(), w.Entries().Len())
+	}
+	if got := r.Segment(0, 3); got[1].Seq != 1 {
+		t.Errorf("Put clobbered the shared ring: %+v", got)
+	}
+	rw := p.Get()
+	if rw != w {
 		t.Fatalf("Get did not recycle the Put window")
 	}
 	if p.Misses() != 1 {
 		t.Errorf("recycled Get counted a miss: %d", p.Misses())
 	}
-	if r.Tag != 0 || r.ID != 0 || r.Closed() || r.Arrivals != 0 || len(r.Kept) != 0 {
-		t.Errorf("recycled window not zeroed: %+v", r)
+	if rw.Tag != 0 || rw.ID != 0 || rw.Closed() || rw.Arrivals != 0 || rw.Start != 0 || rw.Dropped != 0 {
+		t.Errorf("recycled window not zeroed: %+v", rw)
 	}
-	if cap(r.Kept) != keptCap {
-		t.Errorf("Kept capacity %d not preserved (was %d)", cap(r.Kept), keptCap)
+	// The drop marks of the previous life are gone.
+	rw.Start, rw.Arrivals = 0, 3
+	rw.Bind(&r)
+	if rw.Entries().Len() != 3 {
+		t.Errorf("recycled window inherited drop marks: %d kept of 3", rw.Entries().Len())
 	}
 	p.Put(nil) // ignored
 }
