@@ -101,14 +101,15 @@ type (
 	WindowEntry = window.Entry
 	// WindowView is the in-order view of a window's kept entries that
 	// patterns match over: Window.Entries returns the window's own,
-	// NewWindowView wraps explicit entries.
+	// NewWindowView builds one from explicit entries.
 	WindowView = window.View
 )
 
-// NewWindowView wraps entries (in window order, strictly increasing
-// positions) as a WindowView without copying, for matching a
-// hand-built window with CompiledPattern.Match/MatchWith/MatchAll/
-// MatchAllWith.
+// NewWindowView builds a WindowView of entries (in window order,
+// strictly increasing positions), for matching a hand-built window with
+// CompiledPattern.Match/MatchWith/MatchAll/MatchAllWith. It copies the
+// events once, as a window filled with Window.Add does: build the view
+// once and match it repeatedly.
 func NewWindowView(entries []WindowEntry) WindowView { return window.NewView(entries) }
 
 // Window modes.

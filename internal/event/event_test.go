@@ -9,10 +9,17 @@ import (
 
 // TestEventSize pins the packed layout: events are held by value in
 // every batch, queue slot and window ring, so a field order that adds
-// padding costs memory on every one of them.
+// padding costs memory on every one of them. The packed size is the sum
+// of the fields (Seq, TS, the Vals slice header, Type, Kind) rounded up
+// to the struct's alignment: 48 bytes on 64-bit targets.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 48 {
-		t.Errorf("sizeof(Event) = %d bytes, want 48", got)
+	var e Event
+	sum := unsafe.Sizeof(e.Seq) + unsafe.Sizeof(e.TS) + unsafe.Sizeof(e.Vals) +
+		unsafe.Sizeof(e.Type) + unsafe.Sizeof(e.Kind)
+	align := unsafe.Alignof(e)
+	want := (sum + align - 1) / align * align
+	if got := unsafe.Sizeof(e); got != want {
+		t.Errorf("sizeof(Event) = %d bytes, want %d (no padding between fields)", got, want)
 	}
 }
 

@@ -729,8 +729,10 @@ func TestHugeTypeIdsBoundedMemory(t *testing.T) {
 }
 
 // Property: a window read through its drop index (positions skipped by
-// the shedder) matches exactly like the same kept entries handed over
-// explicitly — first and last selection, both consumption policies.
+// the shedder) matches exactly like a dense window holding only the kept
+// events, once the dense matches' positions are mapped back to the
+// window's — first and last selection, both consumption policies. The
+// two View layouts (indexed, and position = index) must agree.
 func TestViewLayoutsAgreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -738,29 +740,43 @@ func TestViewLayoutsAgreeProperty(t *testing.T) {
 		for i := range steps {
 			steps[i] = Step{Types: []event.Type{event.Type(rng.Intn(3))}}
 		}
-		w := &window.Window{}
-		var kept []window.Entry
+		indexedW, denseW := &window.Window{}, &window.Window{}
+		var keptPos []int
 		for p := 0; p < 60; p++ {
 			if rng.Intn(3) == 0 {
 				continue // dropped
 			}
 			e := event.Event{Seq: uint64(p), Type: event.Type(rng.Intn(3))}
-			w.Add(e, p)
-			kept = append(kept, window.Entry{Ev: e, Pos: p})
+			indexedW.Add(e, p)
+			denseW.Add(e, len(keptPos))
+			keptPos = append(keptPos, p)
 		}
-		indexed, explicit := *w.Entries(), window.NewView(kept)
+		indexed, dense := *indexedW.Entries(), *denseW.Entries()
+		remap := func(m Match) Match {
+			out := Match{Constituents: append([]window.Entry(nil), m.Constituents...)}
+			for i := range out.Constituents {
+				out.Constituents[i].Pos = keptPos[out.Constituents[i].Pos]
+			}
+			return out
+		}
 		for _, sel := range []SelectionPolicy{SelectFirst, SelectLast} {
 			c := MustCompile(Pattern{Steps: steps, Selection: sel})
 			a, okA := c.Match(indexed)
-			b, okB := c.Match(explicit)
-			if okA != okB || !reflect.DeepEqual(a, b) {
+			b, okB := c.Match(dense)
+			if okA != okB || (okA && !reflect.DeepEqual(a, remap(b))) {
 				return false
 			}
 		}
 		for _, cons := range []ConsumptionPolicy{ConsumeZero, Consumed} {
 			c := MustCompile(Pattern{Steps: steps, Consumption: cons})
-			if !reflect.DeepEqual(c.MatchAll(indexed, 0), c.MatchAll(explicit, 0)) {
+			a, b := c.MatchAll(indexed, 0), c.MatchAll(dense, 0)
+			if len(a) != len(b) {
 				return false
+			}
+			for i := range a {
+				if !reflect.DeepEqual(a[i], remap(b[i])) {
+					return false
+				}
 			}
 		}
 		return true

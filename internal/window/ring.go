@@ -70,24 +70,33 @@ func (r *Ring) Trim(start uint64) {
 	r.base = start
 }
 
-// View is an in-order, read-only view of a window's kept entries. For a
-// window bound to its owner's ring it reads the ring in place: kept
-// entry i is the event at position idx[i] (or at position i when nothing
-// was dropped) of the window's ring segment, so building a view copies
-// no event. A View is valid only until its window is released. Its
-// methods take a pointer: a View is ten words, too large to copy once
-// per entry the matcher reads.
+// View is an in-order, read-only view of a window's kept entries. It
+// reads a position-indexed event segment in place: kept entry i is the
+// event at position idx[i] (or at position i when nothing was dropped),
+// so building a view copies no event. For a window bound to its owner's
+// ring the segment is the ring's; for a window filled with Add it is the
+// window's own buffer. A View is valid only until its window is
+// released. Its methods take a pointer: a View is seven words, too large
+// to copy once per entry the matcher reads.
 type View struct {
-	evs  []event.Event // the event at each position
-	idx  []int32       // kept positions in order; nil when every position is kept
-	ents []Entry       // explicit entries (NewView); evs and idx unused
-	n    int
+	evs []event.Event // the event at each position
+	idx []int32       // kept positions in order; nil when every position is kept
+	n   int
 }
 
-// NewView wraps explicit entries, which must be in window order
-// (strictly increasing positions). It copies nothing, so a caller can
-// match a fixed entry slice repeatedly without allocating.
-func NewView(ents []Entry) View { return View{ents: ents, n: len(ents)} }
+// NewView builds the view of explicit entries, which must be in window
+// order (strictly increasing, non-negative positions), exactly as a
+// window filled with Add: it copies the events once into a buffer
+// indexed by position, and builds a kept-position index when positions
+// have gaps. Build it once to match a fixed entry slice repeatedly
+// without allocating.
+func NewView(ents []Entry) View {
+	var w Window
+	for _, e := range ents {
+		w.Add(e.Ev, e.Pos)
+	}
+	return *w.Entries()
+}
 
 // viewOf builds the view of a position-indexed event segment, leaving
 // out the positions marked in drops; idx is reused as the index backing
@@ -110,9 +119,6 @@ func (v *View) Len() int { return v.n }
 
 // Pos returns kept entry i's position in the window.
 func (v *View) Pos(i int) int {
-	if v.ents != nil {
-		return v.ents[i].Pos
-	}
 	if v.idx != nil {
 		return int(v.idx[i])
 	}
@@ -121,9 +127,6 @@ func (v *View) Pos(i int) int {
 
 // Type returns kept entry i's event type.
 func (v *View) Type(i int) event.Type {
-	if v.ents != nil {
-		return v.ents[i].Ev.Type
-	}
 	if v.idx != nil {
 		return v.evs[v.idx[i]].Type
 	}
@@ -132,9 +135,6 @@ func (v *View) Type(i int) event.Type {
 
 // Event returns kept entry i's event.
 func (v *View) Event(i int) event.Event {
-	if v.ents != nil {
-		return v.ents[i].Ev
-	}
 	if v.idx != nil {
 		return v.evs[v.idx[i]]
 	}
@@ -143,9 +143,6 @@ func (v *View) Event(i int) event.Event {
 
 // At returns kept entry i as a value.
 func (v *View) At(i int) Entry {
-	if v.ents != nil {
-		return v.ents[i]
-	}
 	p := i
 	if v.idx != nil {
 		p = int(v.idx[i])
@@ -157,7 +154,7 @@ func (v *View) At(i int) Entry {
 // -1 when that position was not kept. Positions increase with the
 // index, so this is a binary search (or O(1) when nothing was dropped).
 func (v *View) Index(pos int) int {
-	if v.ents == nil && v.idx == nil {
+	if v.idx == nil {
 		if pos >= 0 && pos < v.n {
 			return pos
 		}

@@ -333,6 +333,35 @@ func TestBindReadsRingInPlace(t *testing.T) {
 	}
 }
 
+// TestNewViewRoundTrips checks that explicit entries read back unchanged
+// through the position-indexed layout, with gaps indexed and a gap-free
+// run read directly.
+func TestNewViewRoundTrips(t *testing.T) {
+	for _, positions := range [][]int{{0, 1, 2}, {1, 4, 5, 9}, {}} {
+		ents := make([]Entry, len(positions))
+		for i, p := range positions {
+			ents[i] = Entry{Ev: typed(uint64(10+i), event.Time(p), event.Type(p)), Pos: p}
+		}
+		v := NewView(ents)
+		if v.Len() != len(ents) {
+			t.Fatalf("positions %v: Len() = %d", positions, v.Len())
+		}
+		for i, want := range ents {
+			got := v.At(i)
+			if got.Pos != want.Pos || got.Ev.Seq != want.Ev.Seq || got.Ev.TS != want.Ev.TS ||
+				v.Pos(i) != want.Pos || v.Type(i) != want.Ev.Type {
+				t.Errorf("positions %v: entry %d = %+v, want %+v", positions, i, got, want)
+			}
+			if v.Index(want.Pos) != i {
+				t.Errorf("positions %v: Index(%d) = %d, want %d", positions, want.Pos, v.Index(want.Pos), i)
+			}
+		}
+		if len(positions) > 1 && positions[0] > 0 && v.Index(0) != -1 {
+			t.Errorf("positions %v: gap position 0 indexed at %d", positions, v.Index(0))
+		}
+	}
+}
+
 // TestRingTrimCompacts checks that trimming keeps absolute indices
 // stable across compaction and bounds what the ring holds.
 func TestRingTrimCompacts(t *testing.T) {
