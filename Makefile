@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicyMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/window
 
 # Scheduling-sensitive selections, repeated at GOMAXPROCS 1 and 2, where
 # a lost wake-up, a double release or a misordered reply actually shows:
@@ -83,7 +84,8 @@ fuzz-smoke:
 #   releaseSlots), mid-message containment, submit-shape equivalence,
 #   the overload cells (the control loop must fire at both), the
 #   backlog table, and the sharded path — partitioner, shard replay,
-#   epoch merge and the serial = sharded sweeps;
+#   epoch merge, the serial = sharded sweeps and the ring tests that
+#   drive shard goroutines;
 # - engine (race): the fan-out on the submitters' goroutines — start
 #   gate, total order, Register/Deregister interleavings;
 # - transport (race): the client's per-connection writer (what a write
@@ -92,7 +94,7 @@ fuzz-smoke:
 #   the run semantics and the frame fuzzer's seed corpus;
 # - chaos (race): a sink panic contained by the server.
 stress:
-	$(GO) test -race -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents|Sharded' ./internal/runtime
+	$(GO) test -race -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents|Sharded|Ring' ./internal/runtime
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SubmitBeforeRun|TotalOrder|EngineEquivalence|DeregisterUnderLiveTraffic|ConcurrentRegisterSubmit|ShardedPoolChurn' ./internal/engine
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Client|Coalesc|LoneBatch|Resync|Durable|Equiv|^TestRun|^FuzzServerFrame$$' ./internal/transport
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SinkPanic' ./internal/chaos

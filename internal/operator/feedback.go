@@ -20,11 +20,11 @@ import (
 // mutex section plus the builder/detector observation. The tap never
 // retains the window or its entries past the call (the builder copies
 // what it must buffer), honoring the window pooling contract: by the
-// time entries would be poisoned by Manager.Release, the tap is done
-// with them.
+// time entries would be poisoned by the window's release, the tap is
+// done with them.
 //
-// A tap belongs to exactly one window-closing goroutine (the serial
-// operator loop, or one shard); the builder behind it is additionally
+// A tap belongs to exactly one window-closing Owner (the serial
+// operator's, or one shard's); the builder behind it is additionally
 // guarded by a mutex so a lifecycle supervisor can snapshot, merge and
 // reset it from its own goroutine.
 type FeedbackTap struct {
@@ -59,8 +59,8 @@ func (t *FeedbackTap) SetDrift(d *core.DriftDetector) {
 	t.mu.Unlock()
 }
 
-// OnWindowClose implements WindowCloseHook: install it as the operator's
-// close hook (or call it from a shard's close path) to feed the tap.
+// OnWindowClose implements WindowCloseHook; Owner.SetTap installs it on
+// an owner's close path.
 func (t *FeedbackTap) OnWindowClose(w *window.Window, matched []window.Entry) {
 	t.closed.Add(1)
 	t.count++

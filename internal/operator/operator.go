@@ -29,8 +29,8 @@ type Decider interface {
 // keep observability counters behind atomics (core.Shedder): the caller
 // makes raw decisions through DropCounted, tallies them locally, and
 // flushes once per processing batch through TallyDecisions — two atomic
-// adds per batch instead of two per membership. The operator and the
-// sharded runtime detect this interface and prefer it automatically.
+// adds per batch instead of two per membership. Owner detects this
+// interface and prefers it automatically.
 type BatchingDecider interface {
 	Decider
 	// DropCounted returns the drop decision and whether the call counts
@@ -79,30 +79,6 @@ func appendUint(b []byte, v uint64) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// ShedDecision runs one membership shedding decision through the
-// batching fast path when available (batched non-nil), accumulating the
-// counter deltas into *decisions/*drops for a later TallyDecisions
-// flush; otherwise it falls back to the plain Decider. Shared by the
-// serial operator and the sharded runtime so the two deployments count
-// identically.
-func ShedDecision(plain Decider, batched BatchingDecider, t event.Type, pos, ws int,
-	decisions, drops *uint64) bool {
-	if batched != nil {
-		dropped, counted := batched.DropCounted(t, pos, ws)
-		if counted {
-			*decisions++
-			if dropped {
-				*drops++
-			}
-		}
-		return dropped
-	}
-	if plain != nil {
-		return plain.Drop(t, pos, ws)
-	}
-	return false
-}
-
 // WindowCloseHook observes every closed window together with the
 // constituents of the complex event detected in it (nil when none). The
 // eSPICE model builder attaches here.
@@ -137,22 +113,26 @@ type Stats struct {
 	WindowsWithMatch uint64
 }
 
-// Operator is a single CEP operator instance. It is a single-goroutine
-// component: the owner (simulator or runtime pump) calls Process serially.
-type Operator struct {
-	mgr     *window.Manager
-	ring    window.Ring // every routed event, once; windows read it at close
+// Owner is one window-owning operator instance: it holds the windows
+// placed on it (a window.Owner), makes the shedding decision for every
+// membership, and closes windows — match, feedback tap, close hook,
+// recycle — keeping the operator counters. The serial Operator drives
+// one from its Policy's steps; each shard of the sharded runtime drives
+// one from the partitioner's ops. Single-goroutine.
+type Owner struct {
+	win     window.Owner
 	matcher *Matcher
 	shedder Decider
 	batched BatchingDecider // non-nil when shedder supports batching
-	onClose WindowCloseHook
+	tap     *FeedbackTap
+	hook    WindowCloseHook
 
-	stats Stats
-	out   []ComplexEvent // reused buffer returned by Process/Flush
+	stats            Stats
+	decisions, drops uint64 // batched decisions not yet tallied
 }
 
-// New builds an operator from the configuration.
-func New(cfg Config) (*Operator, error) {
+// NewOwner builds an owner over cfg's patterns, shedder and close hook.
+func NewOwner(cfg Config) (*Owner, error) {
 	if len(cfg.Patterns) == 0 {
 		return nil, fmt.Errorf("operator: at least one pattern is required")
 	}
@@ -161,68 +141,155 @@ func New(cfg Config) (*Operator, error) {
 			return nil, fmt.Errorf("operator: pattern %d is nil", i)
 		}
 	}
-	mgr, err := window.NewManager(cfg.Window)
-	if err != nil {
-		return nil, fmt.Errorf("operator: %w", err)
-	}
-	o := &Operator{
-		mgr:     mgr,
+	o := &Owner{
 		matcher: NewMatcher(cfg.Patterns, cfg.MaxMatchesPerWindow),
-		onClose: cfg.OnWindowClose,
+		hook:    cfg.OnWindowClose,
 	}
-	o.SetShedder(cfg.Shedder)
+	o.setShedder(cfg.Shedder)
 	return o, nil
 }
 
-// SetShedder installs or replaces the shedding decider (nil disables).
-// Must be called from the processing goroutine.
-func (o *Operator) SetShedder(d Decider) {
+// setShedder installs the shedding decider, tallying the previous
+// one's pending decisions first.
+func (o *Owner) setShedder(d Decider) {
+	o.Tally()
 	o.shedder = d
 	o.batched, _ = d.(BatchingDecider)
 }
 
-// Stats returns a snapshot of the operator counters.
-func (o *Operator) Stats() Stats { return o.stats }
+// SetTap installs the online model lifecycle's feedback tap, fed every
+// closed window before the close hook (nil disables).
+func (o *Owner) SetTap(t *FeedbackTap) { o.tap = t }
 
-// WindowManager exposes the underlying manager (read-only use: expected
-// size, averages).
-func (o *Operator) WindowManager() *window.Manager { return o.mgr }
+// Stats returns the owner's counters.
+func (o *Owner) Stats() Stats { return o.stats }
+
+// Windows returns the owner's windows.
+func (o *Owner) Windows() *window.Owner { return &o.win }
+
+// Open opens the window a Policy opened; its opening event is the next
+// one routed.
+func (o *Owner) Open(r window.Rec) { o.win.Open(r) }
+
+// Route gives e a position in every open window and makes the shedding
+// decision for each of those memberships, returning how many were kept:
+// e is stored once, in the ring, and a dropped membership sets a bit.
+func (o *Owner) Route(e event.Event) (kept int) {
+	open := o.win.Push(e)
+	for _, w := range open {
+		pos := w.Arrivals - 1
+		if o.shed(e.Type, pos, w.ExpectedSize) {
+			w.Drop(pos)
+		} else {
+			kept++
+		}
+	}
+	o.stats.Memberships += uint64(len(open))
+	o.stats.MembershipsKept += uint64(kept)
+	o.stats.MembershipsShed += uint64(len(open) - kept)
+	return kept
+}
+
+// shed is the membership shedding decision: through the batching fast
+// path when available, counting for a later Tally, else the plain
+// Decider.
+func (o *Owner) shed(t event.Type, pos, ws int) bool {
+	if o.batched != nil {
+		dropped, counted := o.batched.DropCounted(t, pos, ws)
+		if counted {
+			o.decisions++
+			if dropped {
+				o.drops++
+			}
+		}
+		return dropped
+	}
+	return o.shedder != nil && o.shedder.Drop(t, pos, ws)
+}
+
+// Tally folds the batched decisions made since the last Tally into the
+// decider's counters.
+func (o *Owner) Tally() {
+	if o.decisions > 0 {
+		o.batched.TallyDecisions(o.decisions, o.drops)
+		o.decisions, o.drops = 0, 0
+	}
+}
+
+// Close closes window id at time now: seals and binds it, matches it,
+// feeds the tap and the close hook, and recycles it. The window's
+// complex events are appended to ces.
+func (o *Owner) Close(id window.ID, now event.Time, ces []ComplexEvent) []ComplexEvent {
+	w := o.win.Close(id)
+	o.stats.WindowsClosed++
+	before := len(ces)
+	ces, matched, found := o.matcher.MatchClosed(w, now, ces)
+	o.stats.ComplexEvents += uint64(len(ces) - before)
+	if found {
+		o.stats.WindowsWithMatch++
+	}
+	if o.tap != nil {
+		o.tap.OnWindowClose(w, matched)
+	}
+	if o.hook != nil {
+		o.hook(w, matched)
+	}
+	// The matcher, the tap and the hook are done with the window.
+	o.win.Release(w)
+	return ces
+}
+
+// Operator is a single CEP operator instance: a window Policy driving an
+// Owner inline. It is a single-goroutine component: the owner
+// (simulator or runtime pump) calls Process serially.
+type Operator struct {
+	policy *window.Policy
+	own    *Owner
+	out    []ComplexEvent // reused buffer returned by Process/Flush
+}
+
+// New builds an operator from the configuration.
+func New(cfg Config) (*Operator, error) {
+	own, err := NewOwner(cfg)
+	if err != nil {
+		return nil, err
+	}
+	policy, err := window.NewPolicy(cfg.Window)
+	if err != nil {
+		return nil, fmt.Errorf("operator: %w", err)
+	}
+	return &Operator{policy: policy, own: own}, nil
+}
+
+// SetShedder installs or replaces the shedding decider (nil disables).
+// Must be called from the processing goroutine.
+func (o *Operator) SetShedder(d Decider) { o.own.setShedder(d) }
+
+// SetTap installs a feedback tap (see Owner.SetTap).
+func (o *Operator) SetTap(t *FeedbackTap) { o.own.SetTap(t) }
+
+// Stats returns a snapshot of the operator counters.
+func (o *Operator) Stats() Stats { return o.own.stats }
+
+// ExpectedSize returns the window-size prediction new windows open with.
+func (o *Operator) ExpectedSize() int { return o.policy.ExpectedSize() }
 
 // Process consumes the next event in stream order and returns any complex
 // events completed by it. The returned slice is reused across calls. In
 // steady state (warm window pool, ring and matcher scratch) processing an
 // event allocates nothing; only complex-event emission allocates, since
 // those escape to the caller.
-//
-// Route gives every open window a membership, so an event with any
-// membership is pushed to the ring once and every open window's
-// position p is the ring's event Start+p: a kept membership writes
-// nothing, a dropped one sets a bit.
 func (o *Operator) Process(e event.Event) []ComplexEvent {
 	o.out = o.out[:0]
-	o.stats.EventsProcessed++
-	member, closed := o.mgr.Route(e)
-	if len(member) > 0 {
-		at := o.ring.Push(e)
-		var decisions, drops, shed uint64
-		for _, mb := range member {
-			if mb.Pos == 0 {
-				mb.W.Start = at // opened by e
-			}
-			if ShedDecision(o.shedder, o.batched, e.Type, mb.Pos, mb.W.ExpectedSize,
-				&decisions, &drops) {
-				mb.W.Drop(mb.Pos)
-				shed++
-			}
-		}
-		o.stats.Memberships += uint64(len(member))
-		o.stats.MembershipsShed += shed
-		o.stats.MembershipsKept += uint64(len(member)) - shed
-		if decisions > 0 {
-			o.batched.TallyDecisions(decisions, drops)
-		}
+	o.own.stats.EventsProcessed++
+	st := o.policy.Step(e)
+	o.closeAll(st.Before, e.TS)
+	if st.Opened {
+		o.own.Open(st.Open)
 	}
-	o.closeAll(closed, e.TS)
+	o.own.Route(e)
+	o.closeAll(st.After, e.TS)
+	o.own.Tally()
 	return o.out
 }
 
@@ -230,46 +297,18 @@ func (o *Operator) Process(e event.Event) []ComplexEvent {
 // complex events. The returned slice is reused.
 func (o *Operator) Flush(now event.Time) []ComplexEvent {
 	o.out = o.out[:0]
-	o.closeAll(o.mgr.Flush(), now)
+	o.closeAll(o.policy.Flush(), now)
 	return o.out
 }
 
-// closeAll matches and recycles the closed windows, then trims the ring
-// to what the still-open windows reference.
-func (o *Operator) closeAll(closed []*window.Window, now event.Time) {
-	if len(closed) == 0 {
-		return
-	}
-	for _, w := range closed {
-		o.closeWindow(w, now)
-	}
-	if w := o.mgr.Oldest(); w != nil {
-		o.ring.Trim(w.Start)
-	} else {
-		o.ring.Trim(o.ring.End())
+func (o *Operator) closeAll(closed []window.Rec, now event.Time) {
+	for _, r := range closed {
+		o.out = o.own.Close(r.ID, now, o.out)
 	}
 }
 
-func (o *Operator) closeWindow(w *window.Window, now event.Time) {
-	o.stats.WindowsClosed++
-	w.Bind(&o.ring)
-	before := len(o.out)
-	var matchedEntries []window.Entry
-	var found bool
-	o.out, matchedEntries, found = o.matcher.MatchClosed(w, now, o.out)
-	o.stats.ComplexEvents += uint64(len(o.out) - before)
-	if found {
-		o.stats.WindowsWithMatch++
-	}
-	if o.onClose != nil {
-		o.onClose(w, matchedEntries)
-	}
-	// The matcher and the hook are done with the window: recycle it.
-	o.mgr.Release(w)
-}
-
-// Matcher runs the per-closed-window matching policy shared by the
-// serial operator, the window-parallel executor and the sharded runtime:
+// Matcher runs the per-closed-window matching policy of every Owner
+// (and of callers matching windows they filled themselves):
 // patterns are tried in order, the first matching pattern wins, and with
 // maxMatches == 1 only its first instance is taken. A Matcher owns the
 // reusable match scratch, so it belongs to exactly one processing
@@ -296,7 +335,7 @@ func NewMatcher(patterns []*pattern.Compiled, maxMatches int) *Matcher {
 // appended to ces and returned together with the matched constituent
 // entries and whether any pattern matched. The matched entries are
 // values in the matcher's scratch, valid only until the next MatchClosed
-// call; copy them to retain them (the serial operator hands them to the
+// call; copy them to retain them (an Owner hands them to the
 // OnWindowClose hook under exactly that contract).
 func (mt *Matcher) MatchClosed(w *window.Window, now event.Time, ces []ComplexEvent) ([]ComplexEvent, []window.Entry, bool) {
 	entries := *w.Entries()

@@ -294,22 +294,23 @@ func TestRingBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		win := op.own.Windows()
 		rng := rand.New(rand.NewSource(1))
 		ts := event.Time(0)
 		for i := 0; i < 20000; i++ {
 			ts += event.Time(rng.Intn(3)) * event.Millisecond
 			op.Process(event.Event{Seq: uint64(i), TS: ts, Type: event.Type(rng.Intn(3))})
 			arrivals := 0
-			if w := op.mgr.Oldest(); w != nil {
+			if w := win.Oldest(); w != nil {
 				arrivals = w.Arrivals
 			}
-			if bound := arrivals + max(arrivals, window.RingSlack); op.ring.Len() > bound {
-				t.Fatalf("%v: after event %d the ring holds %d events, bound %d", spec.Mode, i, op.ring.Len(), bound)
+			if bound := arrivals + max(arrivals, window.RingSlack); win.Ring().Len() > bound {
+				t.Fatalf("%v: after event %d the ring holds %d events, bound %d", spec.Mode, i, win.Ring().Len(), bound)
 			}
 		}
 		op.Flush(ts)
-		if op.ring.Live() != 0 {
-			t.Errorf("%v: ring keeps %d live events after Flush", spec.Mode, op.ring.Live())
+		if win.Ring().Live() != 0 {
+			t.Errorf("%v: ring keeps %d live events after Flush", spec.Mode, win.Ring().Live())
 		}
 	}
 }

@@ -158,9 +158,14 @@ func newLifecycle(cfg LifecycleConfig, shedders []*core.Shedder, spec window.Spe
 }
 
 // newTap creates and registers one feedback tap; the pipeline gives one
-// to each window-closing goroutine (the serial loop, or each shard).
-// All taps must be created before Run starts the supervisor.
+// to each window owner (the serial operator, or each shard), so
+// statistics accumulate without contention and merge at (re)train time.
+// All taps must be created before Run starts the supervisor. Without a
+// lifecycle (l == nil) there is no tap.
 func (l *Lifecycle) newTap() (*operator.FeedbackTap, error) {
+	if l == nil {
+		return nil, nil
+	}
 	mb, err := core.NewModelBuilder(l.bcfg)
 	if err != nil {
 		return nil, err

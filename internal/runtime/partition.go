@@ -1,7 +1,7 @@
 package runtime
 
 import (
-	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,14 +23,14 @@ const (
 )
 
 // shardOp is one decoded instruction for a shard. The partitioner runs
-// the windowing policy centrally (so window identities, opens, closes
+// the windowing Policy centrally (so window identities, opens, closes
 // and size predictions stay exactly the serial pipeline's) and compiles
-// its outcome into these fixed-size ops, in the order routeOne gives.
-// The owning shard replays them in order against its open windows. The
-// event op carries no position: the shard hands out w.Arrivals itself,
-// which is the tracker's position because both sides count the same
-// arrivals. 32 bytes, no pointers — a staged op stream costs the shard
-// no GC scanning.
+// its steps into these fixed-size ops, in the order routeOne gives.
+// The owning shard replays them in order against its operator.Owner,
+// exactly as the serial Operator applies a step. The event op carries
+// no position: every open window of the shard counts the same arrivals
+// the Policy does. 32 bytes, no pointers — a staged op stream costs the
+// shard no GC scanning.
 type shardOp struct {
 	kind  uint8
 	evIdx int32     // index into the batch's events array (opEvent, opOpen)
@@ -63,23 +63,22 @@ const opsFlushBatch = 512
 // owning shards, so the former router-channel rendezvous and the
 // central-manager serialization disappear from the scale path.
 //
-// tracker is a plain window.Manager used only for bookkeeping: it
-// decides opens, closes and size predictions exactly as the serial
-// operator's manager does, but its windows carry no payload — events
-// never reach them. The payload windows live in the shards, each
-// shard's open ones in ascending window ID, and a window's whole life
-// (open, position, shed, close, match, recycle) happens on the goroutine of
-// the shard placeShard picked at its open: windows never change shard,
-// so no shard ever waits on another. tracker windows are recycled through the manager's own
-// pool the moment their close op is emitted.
+// policy decides opens, closes and size predictions exactly as the
+// serial operator's does; it holds no windows. The windows live in the
+// shards, and a window's whole life (open, position, shed, close,
+// match, recycle) happens on the goroutine of the shard placeShard
+// picked at its open: windows never change shard, so no shard ever
+// waits on another.
 type partitioner struct {
 	p  *Pipeline
 	mu sync.Mutex
 
-	tracker *window.Manager
-	// countClose is the arrival count at which Route closes a window
-	// after routing (ModeCount's Count); no window reaches it otherwise.
-	countClose int
+	policy *window.Policy
+	// home[i] is the shard owning window homeBase+i, or -1 once it has
+	// closed. Windows are numbered in opening order, so an open appends
+	// and the closed prefix is dropped.
+	home     []int32
+	homeBase window.ID
 
 	// Per-shard staging state, indexed by shard id.
 	staged []*shardBatch
@@ -98,33 +97,21 @@ type partitioner struct {
 }
 
 func newPartitioner(p *Pipeline, spec window.Spec) (*partitioner, error) {
-	tracker, err := window.NewManager(spec)
+	policy, err := window.NewPolicy(spec)
 	if err != nil {
 		return nil, err
 	}
-	countClose := math.MaxInt
-	if spec.Mode == window.ModeCount {
-		countClose = spec.Count
-	}
 	n := len(p.shards)
 	return &partitioner{
-		p:          p,
-		tracker:    tracker,
-		countClose: countClose,
-		staged:     make([]*shardBatch, n),
-		owned:      make([]int, n),
-		evMark:     make([]uint64, n),
-		evIdx:      make([]int32, n),
-		done:       make(chan struct{}),
+		p:      p,
+		policy: policy,
+		staged: make([]*shardBatch, n),
+		owned:  make([]int, n),
+		evMark: make([]uint64, n),
+		evIdx:  make([]int32, n),
+		done:   make(chan struct{}),
 	}, nil
 }
-
-// tagAssigned marks a tracker window whose owning shard has been
-// chosen; the low bits of the Tag hold that shard. The zero Tag means
-// "not yet placed" (fresh or recycled windows are zeroed by the pool).
-const tagAssigned = 1 << 63
-
-func shardOf(w *window.Window) int { return int(w.Tag &^ tagAssigned) }
 
 // batchFor returns shard si's staging batch, starting a fresh one (from
 // the shard's recycle ring when possible) on demand.
@@ -191,35 +178,25 @@ func (pt *partitioner) stageOp(si int, op shardOp) {
 	}
 }
 
-// routeOne runs the windowing policy for one event and streams the
-// resulting ops to the owning shards. Route gives every open window a
-// membership, so the shards need only the event: routeOne stages one
-// event op per shard that owns an open window, and the ops around it
-// keep each shard's open windows at that op exactly the event's
-// memberships. Route reports its closes in the order it made them —
-// time expiry and the Close predicate before routing (those windows
-// hold no membership of ev), count closes after — so the first group is
-// staged before the open and the event op, the second after them; close
-// epochs follow that same order. Caller holds pt.mu.
+// routeOne runs the windowing Policy for one event and streams the
+// step to the owning shards: the closes before routing, the open, one
+// event op per shard that owns an open window (the ops around it keep
+// each shard's open windows at that op exactly the event's
+// memberships), then the closes after routing. Close epochs follow that
+// same order. Caller holds pt.mu.
 func (pt *partitioner) routeOne(ev event.Event) {
-	member, closedWins := pt.tracker.Route(ev)
+	st := pt.policy.Step(ev)
 	pt.evStamp++
 	pt.lastTS = ev.TS
-	pre := len(closedWins)
-	for pre > 0 && closedWins[pre-1].Arrivals >= pt.countClose {
-		pre--
+	for _, r := range st.Before {
+		pt.stageClose(r, ev.TS)
 	}
-	for _, w := range closedWins[:pre] {
-		pt.stageClose(w, ev.TS)
-	}
-	// Route opens at most one window per event, last in the membership
-	// list (open windows are kept in opening order).
-	if n := len(member); n > 0 && member[n-1].W.Tag == 0 {
-		pt.stageOpen(member[n-1].W, ev)
+	if st.Opened {
+		pt.stageOpen(st.Open, ev)
 	}
 	pt.stageEvent(ev)
-	for _, w := range closedWins[pre:] {
-		pt.stageClose(w, ev.TS)
+	for _, r := range st.After {
+		pt.stageClose(r, ev.TS)
 	}
 	pt.p.processed.Add(1)
 }
@@ -227,21 +204,21 @@ func (pt *partitioner) routeOne(ev event.Event) {
 // stageOpen places a freshly opened window on the least-occupied shard
 // (see placeShard) and stages its open op there. Placement
 // does not affect the output — opens, close epochs and (through the
-// shard's ascending-ID order) positions are the tracker's regardless of
-// where the payload window lives — so load-aware placement keeps
+// shard's ascending-ID order) positions are the Policy's regardless of
+// where the window lives — so load-aware placement keeps
 // shard=N output byte-identical to shard=1 while spreading skewed (hot)
 // windows across cores instead of pinning windowID%N. Caller holds
 // pt.mu.
-func (pt *partitioner) stageOpen(w *window.Window, ev event.Event) {
-	si := pt.placeShard(w, len(pt.p.shards))
-	w.Tag = tagAssigned | uint64(si)
+func (pt *partitioner) stageOpen(r window.Rec, ev event.Event) {
+	si := pt.placeShard(r.ID, len(pt.p.shards))
+	pt.home = append(pt.home, int32(si))
 	pt.owned[si]++
-	pt.p.shards[si].occupancy.Add(occWeight(w))
+	pt.p.shards[si].occupancy.Add(occWeight(r))
 	pt.stageOp(si, shardOp{
 		kind:  opOpen,
 		evIdx: pt.ensureEvent(si, ev),
-		win:   w.ID,
-		a:     uint64(w.ExpectedSize),
+		win:   r.ID,
+		a:     uint64(r.ExpectedSize),
 	})
 }
 
@@ -277,11 +254,11 @@ func (pt *partitioner) stageEvent(ev event.Event) {
 // occWeight is a window's contribution to its owning shard's occupancy
 // estimate: the expected in-flight work it represents. It must be
 // stable over the window's life (added at placement, subtracted at
-// close), so it derives only from ExpectedSize, which the
-// tracker fixes at open time.
-func occWeight(w *window.Window) int64 {
-	if w.ExpectedSize > 0 {
-		return int64(w.ExpectedSize)
+// close), so it derives only from ExpectedSize, which the Policy fixes
+// at open time.
+func occWeight(r window.Rec) int64 {
+	if r.ExpectedSize > 0 {
+		return int64(r.ExpectedSize)
 	}
 	return 1
 }
@@ -300,8 +277,8 @@ func occWeight(w *window.Window) int64 {
 // windowID%n so a fully balanced pipeline degenerates to the old
 // deterministic round-robin placement instead of piling ties onto
 // shard 0. Caller holds pt.mu.
-func (pt *partitioner) placeShard(w *window.Window, nshards int) int {
-	start := int(w.ID) % nshards
+func (pt *partitioner) placeShard(id window.ID, nshards int) int {
+	start := int(id % window.ID(nshards))
 	if nshards == 1 {
 		return 0
 	}
@@ -323,22 +300,28 @@ func (pt *partitioner) placeShard(w *window.Window, nshards int) int {
 	return best
 }
 
-// stageClose emits the close op for a tracker-closed window, assigns its
-// merge epoch (global close order — exactly the serial pipeline's
-// emission order) and hands the tracker window back to the tracker's
-// pool. Caller holds pt.mu.
-func (pt *partitioner) stageClose(w *window.Window, now event.Time) {
-	si := shardOf(w)
+// stageClose emits the close op for a window the Policy closed on the
+// shard that owns it and assigns its merge epoch (global close order —
+// exactly the serial pipeline's emission order). Caller holds pt.mu.
+func (pt *partitioner) stageClose(r window.Rec, now event.Time) {
+	i := int(r.ID - pt.homeBase)
+	si := int(pt.home[i])
+	pt.home[i] = -1
+	n := 0
+	for n < len(pt.home) && pt.home[n] < 0 {
+		n++
+	}
+	pt.home = slices.Delete(pt.home, 0, n)
+	pt.homeBase += window.ID(n)
 	pt.stageOp(si, shardOp{
 		kind: opClose,
-		win:  w.ID,
+		win:  r.ID,
 		a:    pt.epoch,
 		b:    uint64(now),
 	})
 	pt.epoch++
 	pt.owned[si]--
-	pt.p.shards[si].occupancy.Add(-occWeight(w))
-	pt.tracker.Release(w)
+	pt.p.shards[si].occupancy.Add(-occWeight(r))
 }
 
 // submitBatch partitions a batch of events; it blocks while the owning
@@ -377,7 +360,7 @@ func (pt *partitioner) submitOne(ev event.Event) {
 	pt.flushAll()
 }
 
-// close seals the input: remaining tracker windows are flushed closed at
+// close seals the input: remaining open windows are flushed closed at
 // the last routed timestamp, every staged batch is sent, and the shard
 // channels are closed so Run can drain and return. Idempotent.
 func (pt *partitioner) close() {
@@ -387,10 +370,10 @@ func (pt *partitioner) close() {
 		return
 	}
 	if !pt.canceled.Load() && !pt.p.failed.Load() {
-		// After a contained panic the tracker may be mid-route and the
+		// After a contained panic the Policy may be mid-step and the
 		// shards are in drain mode anyway; skip the final flush closes.
-		for _, w := range pt.tracker.Flush() {
-			pt.stageClose(w, pt.lastTS)
+		for _, r := range pt.policy.Flush() {
+			pt.stageClose(r, pt.lastTS)
 		}
 	}
 	pt.flushAll()

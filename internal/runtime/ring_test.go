@@ -141,14 +141,10 @@ func TestShardRingBounded(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var decisions, drops uint64
+				win := s.own.Windows()
 				for b := range s.in {
-					s.processBatch(b, &decisions, &drops)
-					var oldest *window.Window
-					if len(s.open) > 0 {
-						oldest = s.open[0]
-					}
-					if held, bound, ok := ringBounded(&s.ring, oldest); !ok && violations[i] == "" {
+					s.processBatch(b)
+					if held, bound, ok := ringBounded(win.Ring(), win.Oldest()); !ok && violations[i] == "" {
 						violations[i] = fmt.Sprintf("%s: ring holds %d events, bound %d", w.label, held, bound)
 					}
 				}
@@ -164,9 +160,9 @@ func TestShardRingBounded(t *testing.T) {
 			}
 		}
 		for i, s := range p.shards {
-			if s.ring.Live() != 0 {
+			if live := s.own.Windows().Ring().Live(); live != 0 {
 				t.Errorf("%s: shard %d ring keeps %d live events after every window closed",
-					w.label, i, s.ring.Live())
+					w.label, i, live)
 			}
 		}
 	}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/operator"
 	"repro/internal/sim"
-	"repro/internal/window"
 )
 
 // Config assembles a live pipeline.
@@ -320,12 +319,9 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.OutBuffer == 0 {
 		cfg.OutBuffer = 1024
 	}
-	// The lifecycle is assembled before the operator so the serial
-	// window-close hook chain can include its feedback tap.
-	var (
-		lc        *Lifecycle
-		shardTaps []*operator.FeedbackTap
-	)
+	// The lifecycle is assembled first: every window owner, the serial
+	// operator or each shard, gets a feedback tap of its own (newTap).
+	var lc *Lifecycle
 	if cfg.Lifecycle != nil {
 		var shedders []*core.Shedder
 		addShedder := func(d operator.Decider) {
@@ -349,38 +345,9 @@ func New(cfg Config) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Shards > 1 {
-			// One tap per shard: statistics accumulate on the shard
-			// goroutines without contention and merge at (re)train time.
-			for i := 0; i < cfg.Shards; i++ {
-				tap, err := lc.newTap()
-				if err != nil {
-					return nil, err
-				}
-				shardTaps = append(shardTaps, tap)
-			}
-		} else {
-			tap, err := lc.newTap()
-			if err != nil {
-				return nil, err
-			}
-			if user := cfg.Operator.OnWindowClose; user != nil {
-				cfg.Operator.OnWindowClose = func(w *window.Window, matched []window.Entry) {
-					tap.OnWindowClose(w, matched)
-					user(w, matched)
-				}
-			} else {
-				cfg.Operator.OnWindowClose = tap.OnWindowClose
-			}
-		}
-	}
-	op, err := operator.New(cfg.Operator)
-	if err != nil {
-		return nil, err
 	}
 	p := &Pipeline{
 		cfg:       cfg,
-		op:        op,
 		lifecycle: lc,
 		latEvery:  cfg.LatencySampleEvery,
 		in:        make(chan inMsg, cfg.QueueCap),
@@ -393,54 +360,57 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.flowCond = sync.NewCond(&p.flowMu)
 	if cfg.Shards == 1 {
-		p.lanes = []*lane{&p.lane}
-	}
-	if cfg.Shards > 1 {
-		maxMatches := cfg.Operator.MaxMatchesPerWindow
-		if maxMatches <= 0 {
-			maxMatches = 1
-		}
-		// Each shard queue holds op batches of up to opsFlushBatch ops,
-		// about one per routed event; sizing it as the shard's event-share
-		// divided by the batch size keeps the aggregate backlog bound near
-		// QueueCap events.
-		batchCap := cfg.QueueCap / cfg.Shards / opsFlushBatch
-		if batchCap < 8 {
-			batchCap = 8
-		}
-		for i := 0; i < cfg.Shards; i++ {
-			dec := cfg.Operator.Shedder
-			if len(cfg.ShardDeciders) > 0 {
-				dec = cfg.ShardDeciders[i]
-			}
-			// The recycle ring matches the input queue depth: a submitter
-			// running batchCap batches ahead of a shard can still find every
-			// drained batch waiting for reuse, so steady state allocates no
-			// new batches regardless of how far ahead the producer runs.
-			sh := &shard{
-				id:      i,
-				pipe:    p,
-				in:      make(chan *shardBatch, batchCap),
-				recycle: make(chan *shardBatch, batchCap+1),
-				decider: dec,
-				matcher: operator.NewMatcher(cfg.Operator.Patterns, maxMatches),
-				hook:    cfg.Operator.OnWindowClose,
-				delay:   cfg.ProcessingDelay,
-			}
-			if shardTaps != nil {
-				sh.tap = shardTaps[i]
-			}
-			sh.batched, _ = dec.(operator.BatchingDecider)
-			p.shards = append(p.shards, sh)
-			p.lanes = append(p.lanes, &sh.lane)
-		}
-		// The partitioner owns the tracker manager; the operator above
-		// validated the full configuration and serves Shards==1 only.
-		p.part, err = newPartitioner(p, cfg.Operator.Window)
+		op, err := operator.New(cfg.Operator)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
+			return nil, err
 		}
+		tap, err := lc.newTap()
+		if err != nil {
+			return nil, err
+		}
+		op.SetTap(tap)
+		p.op, p.lanes = op, []*lane{&p.lane}
+		return p, nil
 	}
+	// Each shard queue holds op batches of up to opsFlushBatch ops, about
+	// one per routed event; sizing it as the shard's event-share divided
+	// by the batch size keeps the aggregate backlog bound near QueueCap
+	// events.
+	batchCap := max(cfg.QueueCap/cfg.Shards/opsFlushBatch, 8)
+	for i := 0; i < cfg.Shards; i++ {
+		ocfg := cfg.Operator
+		if len(cfg.ShardDeciders) > 0 {
+			ocfg.Shedder = cfg.ShardDeciders[i]
+		}
+		own, err := operator.NewOwner(ocfg)
+		if err != nil {
+			return nil, err
+		}
+		tap, err := lc.newTap()
+		if err != nil {
+			return nil, err
+		}
+		own.SetTap(tap)
+		// The recycle ring matches the input queue depth: a submitter
+		// running batchCap batches ahead of a shard can still find every
+		// drained batch waiting for reuse, so steady state allocates no
+		// new batches regardless of how far ahead the producer runs.
+		sh := &shard{
+			id:      i,
+			pipe:    p,
+			in:      make(chan *shardBatch, batchCap),
+			recycle: make(chan *shardBatch, batchCap+1),
+			own:     own,
+			delay:   cfg.ProcessingDelay,
+		}
+		p.shards = append(p.shards, sh)
+		p.lanes = append(p.lanes, &sh.lane)
+	}
+	part, err := newPartitioner(p, cfg.Operator.Window)
+	if err != nil {
+		return nil, fmt.Errorf("operator: %w", err)
+	}
+	p.part = part
 	return p, nil
 }
 

@@ -354,49 +354,72 @@ func TestBackpressureNoLostWakeup(t *testing.T) {
 // pauseSink keeps the producer's pause loop above from being compiled out.
 var pauseSink atomic.Int64
 
-// TestSerialSubmitSteadyStateZeroAlloc gates the serial pipeline's share
-// of ARCHITECTURE.md's "zero heap allocations in steady state": with the
-// chunk ring warm and the consumer keeping up, a SubmitBatch — copy into
-// a recycled chunk, channel rendezvous, guarded per-message processing,
-// publish, chunk hand-back — allocates nothing, at the 8-event frames of
-// a light wire client and at full 256-event chunks. AllocsPerRun counts
-// the whole process, so the processing goroutine is covered too; the
-// stream matches nothing (complex events escape and do allocate) and
-// latency sampling is strided out (the trace grows by design).
-func TestSerialSubmitSteadyStateZeroAlloc(t *testing.T) {
+// TestSubmitSteadyStateZeroAlloc gates the pipeline's share of
+// ARCHITECTURE.md's "zero heap allocations in steady state": with the
+// chunk ring (serial) or the op-batch recycle rings (sharded) warm and
+// the consumer keeping up, a SubmitBatch allocates nothing, at the
+// 8-event frames of a light wire client and at full 256-event chunks.
+// Serial, that is the copy into a recycled chunk, the channel
+// rendezvous, guarded per-message processing, publish and chunk
+// hand-back; at two shards, the Policy step, op staging, the shard's
+// replay, matching and the epoch merge. AllocsPerRun counts the whole
+// process, so the processing goroutines are covered too; the stream
+// matches nothing (complex events escape and do allocate) and latency
+// sampling is strided out (the trace grows by design).
+func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
 	harness.VerifyNoLeaks(t)
-	for _, batch := range []int{8, 256} {
-		p, err := New(Config{Operator: opConfig(nil), LatencySampleEvery: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- p.Run(context.Background()) }()
-		go func() {
-			for range p.Out() {
+	for _, c := range []struct{ shards, count, slide int }{{1, 10, 10}, {2, 10, 10}, {2, 64, 8}} {
+		shards := c.shards
+		opCfg := opConfig(nil)
+		opCfg.Window = window.Spec{Mode: window.ModeCount, Count: c.count, Slide: c.slide}
+		for _, batch := range []int{8, 256} {
+			p, err := New(Config{Operator: opCfg, LatencySampleEvery: 1 << 30, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		events := make([]event.Event, batch)
-		var seq uint64
-		step := func() {
-			for i := range events {
-				events[i] = event.Event{Seq: seq, TS: event.Time(seq), Type: typeA}
-				seq++
+			done := make(chan error, 1)
+			go func() { done <- p.Run(context.Background()) }()
+			go func() {
+				for range p.Out() {
+				}
+			}()
+			events := make([]event.Event, batch)
+			var seq uint64
+			// drained reports whether the pipeline has processed everything
+			// submitted: serially the processed count, sharded the shards'
+			// staged memberships (the partitioner counts an event processed
+			// as it routes it).
+			drained := func() bool {
+				if shards == 1 {
+					return p.processed.Load() >= seq
+				}
+				var queued int64
+				for _, s := range p.shards {
+					queued += s.queued.Load()
+				}
+				return queued == 0
 			}
-			p.SubmitBatch(events)
-			for p.processed.Load() < seq {
-				stdruntime.Gosched()
+			step := func() {
+				for i := range events {
+					events[i] = event.Event{Seq: seq, TS: event.Time(seq), Type: typeA}
+					seq++
+				}
+				p.SubmitBatch(events)
+				for !drained() {
+					stdruntime.Gosched()
+				}
 			}
-		}
-		for i := 0; i < 64; i++ { // warm the chunk ring, the window pool and the scratch
-			step()
-		}
-		if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-			t.Errorf("batch=%d: %.1f allocs per submitted batch, want 0", batch, allocs)
-		}
-		p.CloseInput()
-		if err := <-done; err != nil {
-			t.Fatal(err)
+			for i := 0; i < 64; i++ { // warm the queues, the window pools and the scratch
+				step()
+			}
+			if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+				t.Errorf("shards=%d windows=%d/%d batch=%d: %.3f allocs per submitted batch, want 0",
+					shards, c.count, c.slide, batch, allocs)
+			}
+			p.CloseInput()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

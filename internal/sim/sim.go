@@ -148,7 +148,7 @@ func Run(cfg Config, events []event.Event, op *operator.Operator, ctrl Controlle
 		case tPoll <= tServe:
 			// Detector poll: queue length is arrived-but-unserved.
 			qsize := i - head
-			ws := op.WindowManager().ExpectedSize()
+			ws := op.ExpectedSize()
 			dec := cfg.Detector.Evaluate(qsize, cfg.Rate, cfg.Throughput, ws)
 			ctrl.OnDecision(dec)
 			nextPoll += pollSec

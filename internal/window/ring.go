@@ -6,10 +6,8 @@ import "repro/internal/event"
 // reference. Every open window of an owner receives every event the
 // owner routes while it is open, so window w's position p is simply the
 // event at absolute index w.Start+p: windows store positions, not
-// copies. The owner (the serial operator, or one shard of the sharded
-// runtime) pushes each routed event once and trims the ring to the
-// oldest open window's Start after closes. Single-goroutine, like its
-// owner.
+// copies. The Owner pushes each routed event once and trims the ring
+// to the oldest open window's Start after closes. Single-goroutine.
 //
 // Storage is one slice compacted in place: a trim only advances the
 // logical head until the dead prefix is at least as long as the live

@@ -17,7 +17,7 @@ import (
 	"repro/internal/event"
 )
 
-// ID identifies a window uniquely within one Manager.
+// ID identifies a window uniquely within one Policy.
 type ID uint64
 
 // Mode selects how windows are measured.
@@ -118,8 +118,7 @@ type Entry struct {
 // through Entries.
 //
 // Windows are pooled: once a closed window has been handed back via
-// Manager.Release or Pool.Put, the struct is recycled for a future
-// window. Release detaches it first — a retained *Window reads
+// Owner.Release, the struct is recycled for a future window. Release detaches it first — a retained *Window reads
 // Size() == 0 and an empty Entries() — but the ring a View read is
 // shared with windows still open, so consumers of closed windows
 // (matchers, OnWindowClose hooks) must not retain the *Window or its
@@ -134,12 +133,6 @@ type Window struct {
 	// windows, predicted for time-based windows (Section 3.6: the incoming
 	// window size must be predicted to compute relative positions).
 	ExpectedSize int
-
-	// Tag is deployment scratch: the sharded runtime's partitioner
-	// records the owning shard here so routing a close needs no map
-	// lookup. The window package never reads it; Release and
-	// Pool.Put zero it with the rest of the struct.
-	Tag uint64
 
 	// Start is the absolute index, in the owner's Ring, of the event at
 	// position 0; the owner sets it when the window opens.
@@ -181,8 +174,8 @@ func (w *Window) Bind(r *Ring) {
 }
 
 // Add stores e at position pos in the window's own event buffer, for
-// windows filled outside an owner with a ring (tests, benchmarks, facade
-// callers driving a Manager directly). Positions must increase from
+// windows filled outside an owner loop (tests, benchmarks, callers
+// driving a Manager directly, whose windows read only what was added). Positions must increase from
 // call to call; positions skipped since the previous Add are marked
 // dropped (the Dropped counter stays the caller's to keep).
 func (w *Window) Add(e event.Event, pos int) {
@@ -219,15 +212,8 @@ func (w *Window) CopyKept(dst []Entry) []Entry {
 	return dst
 }
 
-// Closed reports whether the window has been closed by the manager.
+// Closed reports whether the window's owner has closed it.
 func (w *Window) Closed() bool { return w.closed }
-
-// MarkClosed seals the window without a Manager. Sharded deployments use
-// it on windows they own directly: the partitioner decides *when* a
-// window closes (it runs the windowing policy), the owning shard marks
-// the window closed before matching it, exactly as Manager.closeWindow
-// does on the serial path.
-func (w *Window) MarkClosed() { w.closed = true }
 
 // Membership records that an event belongs to a window at a position.
 type Membership struct {
@@ -236,12 +222,9 @@ type Membership struct {
 }
 
 // Pool recycles Window structs and their bitmask and index buffers. It
-// is the freelist behind Manager and behind each shard of the sharded
-// runtime: a single-goroutine component (one owner puts and gets), with
-// only the observability counters behind atomics so Stats snapshots may
-// read them from other goroutines. Put detaches the window exactly like
-// Manager.Release, so the retain-past-close contract reads the same no
-// matter which deployment owns the window.
+// is the freelist behind every Owner: a single-goroutine component (one
+// owner puts and gets), with only the observability counters behind
+// atomics so Stats snapshots may read them from other goroutines.
 type Pool struct {
 	free []*Window
 
@@ -281,11 +264,8 @@ func (p *Pool) Put(w *Window) {
 // Gets reports how many windows were handed out.
 func (p *Pool) Gets() uint64 { return p.gets.Load() }
 
-// Puts reports how many windows were recycled into the pool. Together
-// with Gets and Misses this makes pool accounting conservation-checkable
-// per pool — the Manager's, or each shard's in the sharded runtime,
-// where a window is recycled into the pool it came from: at any moment
-// Puts + Misses >= Gets (the surplus is the pooled free list plus live
+// Puts reports how many windows were recycled into the pool: at any
+// moment Puts + Misses >= Gets (the surplus is the free list plus live
 // windows allocated by misses), and once every window has closed and
 // been recycled, Gets == Puts exactly.
 func (p *Pool) Puts() uint64 { return p.puts.Load() }
@@ -296,146 +276,52 @@ func (p *Pool) Puts() uint64 { return p.puts.Load() }
 // a climbing miss count is the signature of a pool leak.
 func (p *Pool) Misses() uint64 { return p.misses.Load() }
 
-// Manager routes a stream of events (in global order) into windows
-// according to a Spec. It is a single-goroutine component, owned by the
-// operator's processing loop.
+// Manager drives a Policy and a buffered Owner together for callers
+// outside an owner loop (tests, benchmarks): Route hands out each
+// event's memberships and the closed windows, and the caller fills
+// windows itself through Window.Add — a position never added reads as
+// dropped. Single-goroutine.
 type Manager struct {
-	spec   Spec
-	nextID ID
-	open   []*Window // in opening order
-
-	sinceOpen  int        // events since last slide-open (count mode)
-	lastOpenTS event.Time // timestamp of last slide-open (time mode)
-	opened     bool       // at least one window opened so far
-
-	// Expected-size predictor for time-based windows: exponential moving
-	// average over closed window sizes.
-	expSize float64
+	policy *Policy
+	owner  Owner
 
 	memberBuf []Membership
 	closedBuf []*Window
-
-	// pool recycles released windows (and their buffers): the data
-	// path opens and closes windows continuously, and reusing the buffers
-	// makes the steady-state hot path allocation-free. The Manager is a
-	// single-goroutine component, so the pool needs no locking; the
-	// sharded runtime gives every shard its own manager-independent Pool
-	// so releases stay shard-local.
-	pool Pool
-
-	totalOpened uint64
-	totalClosed uint64
-	sizeSum     uint64 // sum of closed window sizes, for AvgSize
 }
 
 // NewManager builds a manager for the given spec. The spec must validate.
 func NewManager(spec Spec) (*Manager, error) {
-	if err := spec.Validate(); err != nil {
+	p, err := NewPolicy(spec)
+	if err != nil {
 		return nil, err
 	}
-	m := &Manager{spec: spec}
-	if spec.Mode == ModeTime && spec.SizeHint > 0 {
-		m.expSize = float64(spec.SizeHint)
-	}
-	return m, nil
+	return &Manager{policy: p, owner: Owner{buffered: true}}, nil
 }
-
-// OpenCount reports the number of currently open windows.
-func (m *Manager) OpenCount() int { return len(m.open) }
 
 // TotalOpened reports how many windows were ever opened.
-func (m *Manager) TotalOpened() uint64 { return m.totalOpened }
+func (m *Manager) TotalOpened() uint64 { return uint64(m.policy.nextID) }
 
 // TotalClosed reports how many windows were ever closed.
-func (m *Manager) TotalClosed() uint64 { return m.totalClosed }
-
-// AvgSize returns the average size (in events) of closed windows; this is
-// the N used to dimension the utility table for time-based windows.
-func (m *Manager) AvgSize() float64 {
-	if m.totalClosed == 0 {
-		return 0
-	}
-	return float64(m.sizeSum) / float64(m.totalClosed)
-}
-
-// ExpectedSize returns the current window-size prediction used for
-// relative-position scaling (exact Count for count-based windows).
-func (m *Manager) ExpectedSize() int {
-	if m.spec.Mode == ModeCount {
-		return m.spec.Count
-	}
-	if m.expSize <= 0 {
-		return 0
-	}
-	return int(m.expSize + 0.5)
-}
-
-// Oldest returns the earliest-opened window still open, or nil: its Start
-// is where the owner's ring may be trimmed to.
-func (m *Manager) Oldest() *Window {
-	if len(m.open) == 0 {
-		return nil
-	}
-	return m.open[0]
-}
+func (m *Manager) TotalClosed() uint64 { return m.TotalOpened() - uint64(len(m.policy.open)) }
 
 // Route processes the next event in stream order. It returns the windows
-// the event belongs to (with the event's position in each) and any windows
-// that closed before or because of this event. Time-based windows close
-// when an event at or past their end arrives (the event is not part of
-// them); count-based windows close once they contain Count arrivals.
+// the event belongs to (with the event's position in each) and the
+// windows that closed before or because of this event, in close order.
 //
 // The returned slices are reused across calls: callers must consume them
 // before the next Route or Flush call and must not retain them.
 func (m *Manager) Route(e event.Event) (member []Membership, closed []*Window) {
-	m.memberBuf = m.memberBuf[:0]
+	st := m.policy.Step(e)
 	m.closedBuf = m.closedBuf[:0]
-
-	// 1. Close expired time windows (their span ended strictly before e).
-	if m.spec.Mode == ModeTime {
-		m.closeExpired(e.TS)
+	m.close(st.Before)
+	if st.Opened {
+		m.owner.Open(st.Open)
 	}
-	// 1b. Pattern-based closing: a matching event seals all open windows
-	// before it is routed (it belongs to windows it opens, not closes).
-	if m.spec.Close != nil && m.spec.Close(e) {
-		for _, w := range m.open {
-			m.closeWindow(w)
-		}
-		m.open = m.open[:0]
+	m.memberBuf = m.memberBuf[:0]
+	for _, w := range m.owner.Push(e) {
+		m.memberBuf = append(m.memberBuf, Membership{W: w, Pos: w.Arrivals - 1})
 	}
-
-	// 2. Possibly open a new window at this event, recycling a released
-	// window struct when one is available.
-	if m.shouldOpen(e) {
-		w := m.pool.Get()
-		w.ID = m.nextID
-		w.OpenSeq = e.Seq
-		w.OpenTS = e.TS
-		w.ExpectedSize = m.predictSize()
-		m.nextID++
-		m.totalOpened++
-		m.open = append(m.open, w)
-	}
-
-	// 3. Assign the event a position in every open window.
-	for _, w := range m.open {
-		m.memberBuf = append(m.memberBuf, Membership{W: w, Pos: w.Arrivals})
-		w.Arrivals++
-	}
-
-	// 4. Close count windows that reached their size.
-	if m.spec.Mode == ModeCount {
-		remaining := m.open[:0]
-		for _, w := range m.open {
-			if w.Arrivals >= m.spec.Count {
-				m.closeWindow(w)
-			} else {
-				remaining = append(remaining, w)
-			}
-		}
-		m.open = remaining
-	}
-
+	m.close(st.After)
 	return m.memberBuf, m.closedBuf
 }
 
@@ -443,90 +329,19 @@ func (m *Manager) Route(e event.Event) (member []Membership, closed []*Window) {
 // slice is reused; see Route.
 func (m *Manager) Flush() []*Window {
 	m.closedBuf = m.closedBuf[:0]
-	for _, w := range m.open {
-		m.closeWindow(w)
-	}
-	m.open = m.open[:0]
+	m.close(m.policy.Flush())
 	return m.closedBuf
 }
 
-func (m *Manager) shouldOpen(e event.Event) bool {
-	if m.spec.Open != nil {
-		return m.spec.Open(e)
-	}
-	switch m.spec.Mode {
-	case ModeCount:
-		openNow := m.sinceOpen == 0
-		m.sinceOpen++
-		if m.sinceOpen == m.spec.Slide {
-			m.sinceOpen = 0
-		}
-		return openNow
-	case ModeTime:
-		if !m.opened || e.TS >= m.lastOpenTS+m.spec.SlideTime {
-			m.opened = true
-			m.lastOpenTS = e.TS
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Manager) closeExpired(now event.Time) {
-	remaining := m.open[:0]
-	for _, w := range m.open {
-		if now >= w.OpenTS+m.spec.Length {
-			m.closeWindow(w)
-		} else {
-			remaining = append(remaining, w)
-		}
-	}
-	m.open = remaining
-}
-
-func (m *Manager) closeWindow(w *Window) {
-	w.closed = true
-	m.totalClosed++
-	m.sizeSum += uint64(w.Arrivals)
-	m.closedBuf = append(m.closedBuf, w)
-	if m.spec.Mode == ModeTime && w.Arrivals > 0 {
-		// EMA with a mild smoothing factor: adapts to rate changes but is
-		// robust to single odd windows.
-		const alpha = 0.1
-		if m.expSize <= 0 {
-			m.expSize = float64(w.Arrivals)
-		} else {
-			m.expSize = (1-alpha)*m.expSize + alpha*float64(w.Arrivals)
-		}
+func (m *Manager) close(recs []Rec) {
+	for _, r := range recs {
+		m.closedBuf = append(m.closedBuf, m.owner.Close(r.ID))
 	}
 }
 
-// Release hands a closed window back to the manager for reuse. Call it
-// after the window's consumers (matcher, OnWindowClose hook) have
-// returned; the window and its View must not be referenced afterwards.
-// Release detaches the window (see Pool.Put), so a consumer that
-// illegally retained it reads an empty window instead of silently
-// reading a recycled one. Releasing is
-// optional (an unreleased window is simply garbage collected) and must
-// happen on the manager's goroutine. Still-open windows and double
-// releases are ignored.
-func (m *Manager) Release(w *Window) {
-	if w == nil || !w.closed {
-		return
-	}
-	m.pool.Put(w)
-}
-
-// PoolMisses reports how many window opens had to allocate because no
-// released window was available for reuse (see Pool.Misses).
-func (m *Manager) PoolMisses() uint64 { return m.pool.Misses() }
-
-func (m *Manager) predictSize() int {
-	if m.spec.Mode == ModeCount {
-		return m.spec.Count
-	}
-	if m.expSize <= 0 {
-		return 0
-	}
-	return int(m.expSize + 0.5)
-}
+// Release hands a closed window back to the manager for reuse (see
+// Owner.Release). Call it after the window's consumers have returned;
+// the window and its View must not be referenced afterwards. Releasing
+// is optional (an unreleased window is simply garbage collected) and
+// must happen on the manager's goroutine.
+func (m *Manager) Release(w *Window) { m.owner.Release(w) }

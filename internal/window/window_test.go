@@ -235,8 +235,8 @@ func TestExpectedSizePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ExpectedSize() != 20 {
-		t.Fatalf("initial ExpectedSize = %d, want hint 20", m.ExpectedSize())
+	if m.policy.ExpectedSize() != 20 {
+		t.Fatalf("initial ExpectedSize = %d, want hint 20", m.policy.ExpectedSize())
 	}
 	// Stream at 10 events/sec: windows hold 20 events; prediction should
 	// stay near 20.
@@ -251,12 +251,9 @@ func TestExpectedSizePrediction(t *testing.T) {
 			seq++
 		}
 	}
-	got := m.ExpectedSize()
+	got := m.policy.ExpectedSize()
 	if got < 15 || got > 25 {
 		t.Errorf("ExpectedSize = %d, want ~20", got)
-	}
-	if m.AvgSize() < 15 || m.AvgSize() > 25 {
-		t.Errorf("AvgSize = %v, want ~20", m.AvgSize())
 	}
 }
 
@@ -265,8 +262,8 @@ func TestCountExpectedSizeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ExpectedSize() != 42 {
-		t.Errorf("ExpectedSize = %d, want 42", m.ExpectedSize())
+	if m.policy.ExpectedSize() != 42 {
+		t.Errorf("ExpectedSize = %d, want 42", m.policy.ExpectedSize())
 	}
 	member, _ := m.Route(ev(0, 0))
 	if member[0].W.ExpectedSize != 42 {
@@ -401,11 +398,8 @@ func TestManagerCounters(t *testing.T) {
 	if m.TotalOpened() != 5 || m.TotalClosed() != 5 {
 		t.Errorf("opened/closed = %d/%d, want 5/5", m.TotalOpened(), m.TotalClosed())
 	}
-	if m.AvgSize() != 2 {
-		t.Errorf("AvgSize = %v, want 2", m.AvgSize())
-	}
-	if m.OpenCount() != 0 {
-		t.Errorf("OpenCount = %d", m.OpenCount())
+	if len(m.policy.open) != 0 || len(m.owner.open) != 0 {
+		t.Errorf("open windows left: policy %d, owner %d", len(m.policy.open), len(m.owner.open))
 	}
 }
 
@@ -600,7 +594,7 @@ func TestReleaseIgnoresOpenAndDoubleRelease(t *testing.T) {
 	member, _ := m.Route(ev(0, 0))
 	open := member[0].W
 	m.Release(open) // still open: must be ignored
-	if len(m.pool.free) != 0 {
+	if len(m.owner.pool.free) != 0 {
 		t.Fatalf("open window entered freelist")
 	}
 	m.Release(nil) // nil: ignored
@@ -613,8 +607,8 @@ func TestReleaseIgnoresOpenAndDoubleRelease(t *testing.T) {
 	}
 	m.Release(closed[0])
 	m.Release(closed[0]) // double release: ignored (closed flag was reset)
-	if len(m.pool.free) != 1 {
-		t.Fatalf("freelist = %d entries, want 1", len(m.pool.free))
+	if len(m.owner.pool.free) != 1 {
+		t.Fatalf("freelist = %d entries, want 1", len(m.owner.pool.free))
 	}
 }
 
@@ -642,11 +636,94 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPolicyOwnerSteadyStateZeroAlloc is the owner loop's gate: a
+// Policy step applied to an Owner — closes before, open, push with a
+// drop, closes after, each close released — allocates nothing once the
+// pool, the ring and the step buffers are warm, for sliding count and
+// time windows.
+func TestPolicyOwnerSteadyStateZeroAlloc(t *testing.T) {
+	for _, spec := range []Spec{
+		{Mode: ModeCount, Count: 64, Slide: 8},
+		{Mode: ModeTime, Length: 64, SlideTime: 8},
+	} {
+		p, err := NewPolicy(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o Owner
+		seq := uint64(0)
+		closeAll := func(recs []Rec) {
+			for _, r := range recs {
+				w := o.Close(r.ID)
+				_ = w.Entries().Len()
+				o.Release(w)
+			}
+		}
+		step := func() {
+			e := ev(seq, event.Time(seq))
+			seq++
+			st := p.Step(e)
+			closeAll(st.Before)
+			if st.Opened {
+				o.Open(st.Open)
+			}
+			for _, w := range o.Push(e) {
+				if pos := w.Arrivals - 1; pos%3 == 0 {
+					w.Drop(pos)
+				}
+			}
+			closeAll(st.After)
+		}
+		for i := 0; i < 1024; i++ { // warm pool, ring and buffers
+			step()
+		}
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("%v: steady-state Policy step + Owner allocates %.2f/event, want 0", spec.Mode, allocs)
+		}
+	}
+}
+
+// TestOwnerCloseAndRelease pins the Owner contract the owner loops and
+// the Manager rely on: windows close in any order, a closed window's
+// view reads the ring intact until it is released even when another
+// window is released first, and the ring is trimmed empty once nothing
+// references it.
+func TestOwnerCloseAndRelease(t *testing.T) {
+	var o Owner
+	o.Open(Rec{ID: 0})
+	for i := uint64(0); i < 70; i++ {
+		o.Push(ev(i, 0))
+	}
+	o.Open(Rec{ID: 1, OpenSeq: 70})
+	for i := uint64(70); i < 140; i++ {
+		o.Push(ev(i, 0))
+	}
+	w1 := o.Close(1) // not the oldest
+	w0 := o.Close(0)
+	if w0.Size() != 140 || w1.Size() != 70 || !w0.Closed() || o.Oldest() != nil {
+		t.Fatalf("sizes %d/%d, closed %v, oldest %v", w0.Size(), w1.Size(), w0.Closed(), o.Oldest())
+	}
+	o.Release(w0)
+	if v := w1.Entries(); v.Len() != 70 || v.At(0).Ev.Seq != 70 || v.At(69).Ev.Seq != 139 {
+		t.Fatalf("releasing another window disturbed an outstanding view: first seq %d", v.At(0).Ev.Seq)
+	}
+	o.Release(w1)
+	if o.Ring().Live() != 0 || o.Ring().Len() != 0 {
+		t.Errorf("ring keeps %d live of %d events after every window was released", o.Ring().Live(), o.Ring().Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("closing a window the owner does not hold did not panic")
+		}
+	}()
+	o.Close(7)
+}
+
 // TestPoolRecyclesAndCounts pins the standalone Pool contract the
 // sharded runtime's per-shard window ownership relies on: Get recycles
 // released structs (counting misses only on true allocations), Put
-// detaches and zeroes — including deployment scratch like Tag and the
-// ring binding — while keeping the buffers warm.
+// detaches and zeroes — including the ring binding — while keeping the
+// buffers warm.
 func TestPoolRecyclesAndCounts(t *testing.T) {
 	var p Pool
 	w := p.Get()
@@ -655,14 +732,13 @@ func TestPoolRecyclesAndCounts(t *testing.T) {
 	}
 	var r Ring
 	w.ID = 7
-	w.Tag = 1<<63 | 42
 	w.Start = r.End()
 	for i := uint64(0); i < 3; i++ {
 		r.Push(ev(i, event.Time(i)))
 		w.Arrivals++
 	}
 	w.Drop(1)
-	w.MarkClosed()
+	w.closed = true
 	w.Bind(&r)
 	if w.Entries().Len() != 2 {
 		t.Fatalf("bound window holds %d entries, want 2", w.Entries().Len())
@@ -681,7 +757,7 @@ func TestPoolRecyclesAndCounts(t *testing.T) {
 	if p.Misses() != 1 {
 		t.Errorf("recycled Get counted a miss: %d", p.Misses())
 	}
-	if rw.Tag != 0 || rw.ID != 0 || rw.Closed() || rw.Arrivals != 0 || rw.Start != 0 || rw.Dropped != 0 {
+	if rw.ID != 0 || rw.Closed() || rw.Arrivals != 0 || rw.Start != 0 || rw.Dropped != 0 {
 		t.Errorf("recycled window not zeroed: %+v", rw)
 	}
 	// The drop marks of the previous life are gone.
@@ -691,18 +767,6 @@ func TestPoolRecyclesAndCounts(t *testing.T) {
 		t.Errorf("recycled window inherited drop marks: %d kept of 3", rw.Entries().Len())
 	}
 	p.Put(nil) // ignored
-}
-
-// TestMarkClosed covers manager-less sealing, the sharded close path.
-func TestMarkClosed(t *testing.T) {
-	w := &Window{}
-	if w.Closed() {
-		t.Fatal("fresh window reports closed")
-	}
-	w.MarkClosed()
-	if !w.Closed() {
-		t.Fatal("MarkClosed did not seal the window")
-	}
 }
 
 // TestManagerPoolMisses asserts the manager-level miss counter stops
@@ -718,7 +782,7 @@ func TestManagerPoolMisses(t *testing.T) {
 			m.Release(w)
 		}
 	}
-	warm := m.PoolMisses()
+	warm := m.owner.pool.Misses()
 	if warm == 0 {
 		t.Fatal("expected some initial pool misses while warming")
 	}
@@ -728,7 +792,7 @@ func TestManagerPoolMisses(t *testing.T) {
 			m.Release(w)
 		}
 	}
-	if got := m.PoolMisses(); got != warm {
+	if got := m.owner.pool.Misses(); got != warm {
 		t.Errorf("pool misses climbed from %d to %d in steady state (leak)", warm, got)
 	}
 }
