@@ -92,12 +92,16 @@ fuzz-smoke:
 #   coalesces, when Flush returns, how a write failure reaches a producer
 #   blocked on credit), resync, durable sessions, the equivalence suites,
 #   the run semantics and the frame fuzzer's seed corpus;
-# - chaos (race): a sink panic contained by the server.
+# - chaos (race): a sink panic contained by the server;
+# - core and baseline (race, whole packages): one shedder shared by
+#   concurrent deciders while its state is flipped must decide as a
+#   single goroutine does.
 stress:
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents|Sharded|Ring' ./internal/runtime
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SubmitBeforeRun|TotalOrder|EngineEquivalence|DeregisterUnderLiveTraffic|ConcurrentRegisterSubmit|ShardedPoolChurn' ./internal/engine
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Client|Coalesc|LoneBatch|Resync|Durable|Equiv|^TestRun|^FuzzServerFrame$$' ./internal/transport
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SinkPanic' ./internal/chaos
+	$(GO) test -race -count=5 -cpu 1,2 ./internal/core ./internal/baseline
 
 # Drive the networked ingest path end to end (in-process loopback
 # server) and leave a machine-readable latency summary next to

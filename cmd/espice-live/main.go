@@ -3,9 +3,8 @@
 // latency and quality statistics — a wall-clock counterpart to the
 // deterministic simulator used by espice-bench. With -shards > 1 the
 // pipeline runs as a sharded multi-operator deployment: windows are
-// placed on the least-loaded of the parallel operator instances, each
-// with its own load shedder, all commanded in lockstep by one overload
-// detector.
+// placed on the least-loaded of the parallel operator instances, which
+// share one load shedder commanded by one overload detector.
 package main
 
 import (
@@ -18,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/event"
@@ -120,10 +120,10 @@ func makeShutdown(opts liveOpts, closeInput func(), done chan error, collected c
 	return shutdown, &runErr
 }
 
-// newShedPair builds one decider/controller instance of the requested
-// kind; sharded runs call it once per shard so every shard gets its own
-// shedder state. model is the eSPICE starting model — the offline-trained
-// one, or an untrained placeholder in -retrain mode.
+// newShedPair builds the decider/controller pair of the requested kind,
+// which every shard of the pipeline shares. model is the eSPICE starting
+// model — the offline-trained one, or an untrained placeholder in
+// -retrain mode.
 func newShedPair(name string, q queries.Query, tr *harness.TrainResult, model *core.Model, seed int64) (operator.Decider, sim.Controller, error) {
 	switch name {
 	case "espice":
@@ -133,13 +133,18 @@ func newShedPair(name string, q queries.Query, tr *harness.TrainResult, model *c
 		}
 		return s, harness.ESPICEController{S: s}, nil
 	case "bl":
-		bl, err := newBLShedder(q, tr, seed)
+		bl, err := baseline.NewBL(baseline.BLConfig{
+			Types:   q.NumTypes,
+			Weights: q.MergedTypeWeights(),
+			Freq:    tr.TypeFreq,
+			Seed:    seed,
+		})
 		if err != nil {
 			return nil, nil, err
 		}
 		return bl, harness.BLController{B: bl}, nil
 	case "random":
-		r := newRandomShedder(seed)
+		r := baseline.NewRandom(seed)
 		return r, harness.RandomController{R: r}, nil
 	case "none":
 		return nil, nil, nil
@@ -212,25 +217,13 @@ func runLive(opts liveOpts, w io.Writer) (*liveResult, error) {
 			cfg.Lifecycle.Drift = &core.DriftConfig{}
 		}
 	}
-	// One shedder instance per shard (one in total when serial), all
-	// driven in lockstep by a single detector.
-	var controllers runtime.MultiController
-	for i := 0; i < opts.shards; i++ {
-		decider, ctrl, err := newShedPair(opts.shedder, query, tr, shedModel, opts.seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		if decider == nil {
-			break
-		}
-		if opts.shards > 1 {
-			cfg.ShardDeciders = append(cfg.ShardDeciders, decider)
-		} else {
-			cfg.Operator.Shedder = decider
-		}
-		controllers = append(controllers, ctrl)
+	// One shedder, shared by every shard and driven by a single detector.
+	decider, ctrl, err := newShedPair(opts.shedder, query, tr, shedModel, opts.seed)
+	if err != nil {
+		return nil, err
 	}
-	if len(controllers) > 0 {
+	if decider != nil {
+		cfg.Operator.Shedder = decider
 		det, err := core.NewOverloadDetector(core.DetectorConfig{
 			LatencyBound: event.Time(opts.bound.Microseconds()),
 			F:            opts.f,
@@ -238,7 +231,7 @@ func runLive(opts liveOpts, w io.Writer) (*liveResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Detector, cfg.Controller = det, controllers
+		cfg.Detector, cfg.Controller = det, ctrl
 	}
 	pipe, err := runtime.New(cfg)
 	if err != nil {

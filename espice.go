@@ -166,11 +166,6 @@ type (
 	ComplexEvent = operator.ComplexEvent
 	// ShedDecider is the per-membership shedding decision interface.
 	ShedDecider = operator.Decider
-	// BatchingShedDecider is the optional ShedDecider extension that
-	// tallies decision counters per processing batch instead of per
-	// membership; the operator and the sharded runtime prefer it
-	// automatically (core.Shedder implements it).
-	BatchingShedDecider = operator.BatchingDecider
 	// WindowMatcher bundles compiled patterns with reusable match
 	// scratch for allocation-free per-window matching; one per
 	// processing goroutine.
@@ -402,9 +397,6 @@ type (
 	PipelineStats = runtime.Stats
 	// PipelineShardStats is one shard's counter snapshot.
 	PipelineShardStats = runtime.ShardStats
-	// MultiController fans detector decisions out to several controllers,
-	// commanding per-shard shedders in lockstep.
-	MultiController = runtime.MultiController
 )
 
 // NewPipeline builds a live pipeline.

@@ -114,9 +114,9 @@ func main() {
 
 	// --- Live sharded deployment with an atomic model swap -----------------
 	// The same swap, demonstrated on the live runtime: a 2-shard pipeline
-	// replays phase-2 traffic at 1.3x capacity with per-shard shedders
-	// still holding the stale phase-1 model; halfway through, the
-	// retrained model is swapped into both shards without pausing the
+	// replays phase-2 traffic at 1.3x capacity with its shedder, shared
+	// by both shards, still holding the stale phase-1 model; halfway
+	// through, the retrained model is swapped in without pausing the
 	// stream.
 	fmt.Println("\n== Live 2-shard pipeline: hot-swapping the retrained model ==")
 	retrained, err := espice.Train(query, trainB, 0, 0)
@@ -124,15 +124,9 @@ func main() {
 		log.Fatal(err)
 	}
 	const shards = 2
-	shedders := make([]*espice.Shedder, shards)
-	deciders := make([]espice.ShedDecider, shards)
-	ctrl := make(espice.MultiController, shards)
-	for i := range shedders {
-		s, err := espice.NewShedder(trained.Model)
-		if err != nil {
-			log.Fatal(err)
-		}
-		shedders[i], deciders[i], ctrl[i] = s, s, espice.ESPICEController{S: s}
+	shedder, err := espice.NewShedder(trained.Model)
+	if err != nil {
+		log.Fatal(err)
 	}
 	det, err := espice.NewOverloadDetector(espice.DetectorConfig{
 		LatencyBound: 300 * espice.Millisecond, F: 0.7,
@@ -145,11 +139,11 @@ func main() {
 		Operator: espice.OperatorConfig{
 			Window:   query.Window,
 			Patterns: query.Patterns,
+			Shedder:  shedder,
 		},
 		Shards:          shards,
-		ShardDeciders:   deciders,
 		Detector:        det,
-		Controller:      ctrl,
+		Controller:      espice.ESPICEController{S: shedder},
 		PollInterval:    5 * time.Millisecond,
 		ProcessingDelay: delay,
 	})
@@ -186,12 +180,10 @@ func main() {
 	}
 	for i := 0; i < len(liveEvents); i += batch {
 		if i >= len(liveEvents)/2 && i-batch < len(liveEvents)/2 {
-			for _, s := range shedders {
-				if err := s.SetModel(retrained.Model); err != nil {
-					log.Fatal(err)
-				}
+			if err := shedder.SetModel(retrained.Model); err != nil {
+				log.Fatal(err)
 			}
-			fmt.Println("  mid-stream: retrained model swapped into both shard shedders")
+			fmt.Println("  mid-stream: retrained model swapped into the shared shedder")
 		}
 		if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
 			time.Sleep(d)

@@ -60,19 +60,13 @@ func main() {
 	fmt.Printf("phase-1 model: %d windows, %d matches\n", frozen.Windows, frozen.Matches)
 
 	// --- Live pipeline with the lifecycle in charge of the model -------
-	// Two shards, each with its own shedder starting from the phase-1
-	// model; the lifecycle samples every window close, watches for drift
-	// and swaps retrained models into both shedders in lockstep.
+	// Two shards sharing one shedder that starts from the phase-1 model;
+	// the lifecycle samples every window close, watches for drift and
+	// swaps retrained models into the shedder.
 	const shards = 2
-	shedders := make([]*espice.Shedder, shards)
-	deciders := make([]espice.ShedDecider, shards)
-	ctrl := make(espice.MultiController, shards)
-	for i := range shedders {
-		s, err := espice.NewShedder(frozen.Model)
-		if err != nil {
-			log.Fatal(err)
-		}
-		shedders[i], deciders[i], ctrl[i] = s, s, espice.ESPICEController{S: s}
+	shedder, err := espice.NewShedder(frozen.Model)
+	if err != nil {
+		log.Fatal(err)
 	}
 	det, err := espice.NewOverloadDetector(espice.DetectorConfig{
 		LatencyBound: 300 * espice.Millisecond, F: 0.7,
@@ -85,11 +79,11 @@ func main() {
 		Operator: espice.OperatorConfig{
 			Window:   query.Window,
 			Patterns: query.Patterns,
+			Shedder:  shedder,
 		},
 		Shards:          shards,
-		ShardDeciders:   deciders,
 		Detector:        det,
-		Controller:      ctrl,
+		Controller:      espice.ESPICEController{S: shedder},
 		PollInterval:    5 * time.Millisecond,
 		ProcessingDelay: delay,
 		Lifecycle: &espice.LifecycleConfig{
@@ -116,7 +110,7 @@ func main() {
 	}()
 
 	// The live stream: phase-1 traffic, then the shift. Replayed above
-	// capacity so the overload detector keeps the shedders active — the
+	// capacity so the overload detector keeps the shedder active — the
 	// swap happens on a *busy* pipeline.
 	liveEvents := append(append([]espice.Event{}, evalA...), trainB...)
 	capacity := float64(shards) * float64(time.Second) / float64(delay) / frozen.MembershipFactor

@@ -10,11 +10,12 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/pattern"
+	"repro/internal/window"
 )
 
 // DefaultUtilityDiscount is the default weight reduction applied to the
@@ -41,7 +42,7 @@ type BLConfig struct {
 	// still drops pattern-relevant instances because it cannot tell which
 	// instances of a type matter.
 	UtilityDiscount float64
-	// Seed drives the uniform sampling.
+	// Seed seeds the sampling coin (core.Coin).
 	Seed int64
 }
 
@@ -52,18 +53,18 @@ type BLConfig struct {
 // Decisions depend only on the event type, never on position: BL has no
 // notion of the order of events in the pattern or stream.
 //
-// Configuration (SetDropAmount) and decisions (Drop) may run on different
-// goroutines; a mutex guards the shared state, including the random
-// source.
+// Configuration (SetDropAmount) and decisions (DropCounted) may run on
+// different goroutines: the per-type drop probabilities are published
+// atomically and immutable once published, and the sampling coin is a
+// pure function of (seed, window, position), so one BL serves every
+// shard of a pipeline.
 type BL struct {
-	mu       sync.Mutex
 	types    int
 	utility  []float64 // per-type utility (repetition in the pattern)
 	freq     []float64 // events per window per type
 	beta     float64
-	dropProb []float64 // current per-type drop probability
-	active   bool
-	rng      *rand.Rand
+	seed     uint64
+	dropProb atomic.Pointer[[]float64] // per-type drop probability; nil when inactive
 }
 
 // NewBL builds the baseline shedder from pattern and window statistics.
@@ -82,12 +83,11 @@ func NewBL(cfg BLConfig) (*BL, error) {
 		return nil, fmt.Errorf("baseline: UtilityDiscount must be in [0,1], got %v", beta)
 	}
 	b := &BL{
-		types:    cfg.Types,
-		utility:  make([]float64, cfg.Types),
-		freq:     append([]float64(nil), cfg.Freq...),
-		beta:     beta,
-		dropProb: make([]float64, cfg.Types),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		types:   cfg.Types,
+		utility: make([]float64, cfg.Types),
+		freq:    append([]float64(nil), cfg.Freq...),
+		beta:    beta,
+		seed:    uint64(cfg.Seed),
 	}
 	// A type's utility is its repetition in the pattern. Wildcard steps
 	// (satisfiable by any type) spread their weight over observed types
@@ -115,11 +115,7 @@ func (b *BL) Utility(t event.Type) float64 {
 }
 
 // Active reports whether shedding is enabled.
-func (b *BL) Active() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.active
-}
+func (b *BL) Active() bool { return b.dropProb.Load() != nil }
 
 // SetDropAmount activates shedding such that approximately x events are
 // dropped per window: the demand is distributed over the event types
@@ -129,17 +125,18 @@ func (b *BL) Active() bool {
 // BL's quotas derive from the trained per-window frequencies.
 func (b *BL) SetDropAmount(x float64, ws int) {
 	_ = ws
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for t := range b.dropProb {
-		b.dropProb[t] = 0
-	}
 	if x <= 0 {
-		b.active = false
+		b.Deactivate()
 		return
 	}
-	b.active = true
+	probs := b.dropProbs(x)
+	b.dropProb.Store(&probs)
+}
 
+// dropProbs derives the per-type drop probabilities for x drops per
+// window.
+func (b *BL) dropProbs(x float64) []float64 {
+	probs := make([]float64, b.types)
 	maxU := 0.0
 	for _, u := range b.utility {
 		if u > maxU {
@@ -168,7 +165,7 @@ func (b *BL) SetDropAmount(x float64, ws int) {
 			totalW += weights[t]
 		}
 		if totalW <= 0 {
-			return
+			return probs
 		}
 	}
 	for t := 0; t < b.types; t++ {
@@ -177,103 +174,68 @@ func (b *BL) SetDropAmount(x float64, ws int) {
 		}
 		quota := x * weights[t] / totalW
 		p := quota / b.freq[t]
-		if p > 1 {
-			p = 1
-		}
-		b.dropProb[t] = p
+		probs[t] = min(p, 1)
 	}
+	return probs
 }
 
 // Deactivate stops shedding.
-func (b *BL) Deactivate() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.active = false
-	for t := range b.dropProb {
-		b.dropProb[t] = 0
-	}
-}
+func (b *BL) Deactivate() { b.dropProb.Store(nil) }
 
-// DropProb exposes the current drop probability for a type (tests).
-func (b *BL) DropProb(t event.Type) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// DropCounted implements operator.Decider: a membership of type t drops
+// when the coin of (window, position) falls below the type's drop
+// probability. Window size is ignored: BL has no notion of order.
+func (b *BL) DropCounted(win window.ID, t event.Type, pos, _ int) (drop, counted bool) {
+	probs := b.dropProb.Load()
+	if probs == nil {
+		return false, false
+	}
 	if t < 0 || int(t) >= b.types {
-		return 0
+		return false, true
 	}
-	return b.dropProb[t]
+	return core.Coin(b.seed, win, pos) < (*probs)[t], true
 }
 
-// Drop implements the operator.Decider interface. Position and window
-// size are ignored: BL has no notion of order.
-func (b *BL) Drop(t event.Type, _ int, _ int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.active || t < 0 || int(t) >= b.types {
-		return false
-	}
-	p := b.dropProb[t]
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return b.rng.Float64() < p
-}
+// TallyDecisions implements operator.Decider; BL keeps no counters.
+func (*BL) TallyDecisions(uint64, uint64) {}
 
 // Random drops every membership with a fixed probability — the "completely
 // random event shedder" the paper mentions as comprehensively outperformed.
+// Like BL it publishes its probability atomically and draws from
+// core.Coin, so one Random serves every shard of a pipeline.
 type Random struct {
-	mu     sync.Mutex
-	prob   float64
-	active bool
-	rng    *rand.Rand
+	seed uint64
+	prob atomic.Pointer[float64] // nil when inactive
 }
 
 // NewRandom builds a random shedder with the given seed.
-func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
-}
+func NewRandom(seed int64) *Random { return &Random{seed: uint64(seed)} }
 
 // SetDropAmount activates dropping of approximately x events per window
 // of size ws, i.e. probability x/ws per membership.
 func (r *Random) SetDropAmount(x float64, ws int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if x <= 0 || ws <= 0 {
-		r.active = false
-		r.prob = 0
+		r.Deactivate()
 		return
 	}
-	r.active = true
-	r.prob = x / float64(ws)
-	if r.prob > 1 {
-		r.prob = 1
-	}
+	p := min(x/float64(ws), 1)
+	r.prob.Store(&p)
 }
 
 // Deactivate stops shedding.
-func (r *Random) Deactivate() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.active = false
-	r.prob = 0
-}
+func (r *Random) Deactivate() { r.prob.Store(nil) }
 
 // Active reports whether shedding is enabled.
-func (r *Random) Active() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.active
+func (r *Random) Active() bool { return r.prob.Load() != nil }
+
+// DropCounted implements operator.Decider.
+func (r *Random) DropCounted(win window.ID, _ event.Type, pos, _ int) (drop, counted bool) {
+	p := r.prob.Load()
+	if p == nil {
+		return false, false
+	}
+	return core.Coin(r.seed, win, pos) < *p, true
 }
 
-// Drop implements operator.Decider.
-func (r *Random) Drop(_ event.Type, _ int, _ int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.active {
-		return false
-	}
-	return r.rng.Float64() < r.prob
-}
+// TallyDecisions implements operator.Decider; Random keeps no counters.
+func (*Random) TallyDecisions(uint64, uint64) {}

@@ -2,11 +2,30 @@ package baseline
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/operator"
 	"repro/internal/pattern"
+	"repro/internal/window"
 )
+
+// DropProb reads the published drop probability of type t (0 when
+// inactive or out of range).
+func (b *BL) DropProb(t event.Type) float64 {
+	probs := b.dropProb.Load()
+	if probs == nil || t < 0 || int(t) >= b.types {
+		return 0
+	}
+	return (*probs)[t]
+}
+
+// drop is one decision of d, its count discarded.
+func drop(d operator.Decider, win window.ID, t event.Type, pos, ws int) bool {
+	dropped, _ := d.DropCounted(win, t, pos, ws)
+	return dropped
+}
 
 func blCfg() BLConfig {
 	return BLConfig{
@@ -173,7 +192,7 @@ func TestBLSamplingMatchesProbability(t *testing.T) {
 	const trials = 40000
 	drops := 0
 	for i := 0; i < trials; i++ {
-		if b.Drop(2, i%20, 20) {
+		if drop(b, window.ID(i/20), 2, i%20, 20) {
 			drops++
 		}
 	}
@@ -193,7 +212,7 @@ func TestBLProbabilityClamp(t *testing.T) {
 	if got := b.DropProb(2); got != 1 {
 		t.Errorf("DropProb(2) = %v, want 1", got)
 	}
-	if !b.Drop(2, 0, 20) {
+	if !drop(b, 0, 2, 0, 20) {
 		t.Error("probability 1 must always drop")
 	}
 }
@@ -209,7 +228,7 @@ func TestBLDeactivate(t *testing.T) {
 		t.Fatal("Deactivate failed")
 	}
 	for i := 0; i < 100; i++ {
-		if b.Drop(2, 0, 20) {
+		if drop(b, window.ID(i), 2, 0, 20) {
 			t.Fatal("inactive BL must not drop")
 		}
 	}
@@ -222,7 +241,7 @@ func TestBLDeactivate(t *testing.T) {
 func TestBLOOBTypeNeverDrops(t *testing.T) {
 	b, _ := NewBL(blCfg())
 	b.SetDropAmount(100, 20)
-	if b.Drop(event.Type(9), 0, 20) || b.Drop(event.NoType, 0, 20) {
+	if drop(b, 0, event.Type(9), 0, 20) || drop(b, 0, event.NoType, 0, 20) {
 		t.Error("out-of-range types must not drop")
 	}
 	if b.DropProb(event.Type(9)) != 0 || b.DropProb(event.NoType) != 0 {
@@ -236,7 +255,7 @@ func TestRandomShedder(t *testing.T) {
 		t.Fatal("inactive by default")
 	}
 	for i := 0; i < 100; i++ {
-		if r.Drop(0, 0, 10) {
+		if drop(r, window.ID(i), 0, 0, 10) {
 			t.Fatal("inactive random must not drop")
 		}
 	}
@@ -247,7 +266,7 @@ func TestRandomShedder(t *testing.T) {
 	const trials = 50000
 	drops := 0
 	for i := 0; i < trials; i++ {
-		if r.Drop(0, i, 10) {
+		if drop(r, window.ID(i/10), 0, i%10, 10) {
 			drops++
 		}
 	}
@@ -264,7 +283,7 @@ func TestRandomShedder(t *testing.T) {
 func TestRandomClampAndZero(t *testing.T) {
 	r := NewRandom(7)
 	r.SetDropAmount(100, 10) // clamp to probability 1
-	if !r.Drop(0, 0, 10) {
+	if !drop(r, 0, 0, 0, 10) {
 		t.Error("probability 1 must always drop")
 	}
 	r.SetDropAmount(0, 10)
@@ -274,5 +293,105 @@ func TestRandomClampAndZero(t *testing.T) {
 	r.SetDropAmount(5, 0)
 	if r.Active() {
 		t.Error("ws=0 must deactivate")
+	}
+}
+
+// TestSharedBaselinesDecideAsSerial shares one BL and one Random between
+// four deciding goroutines, each over its own window IDs, while a fifth
+// flips SetDropAmount/Deactivate (run under -race). Once the state is
+// fixed again, every goroutine's decisions equal a single-goroutine pass:
+// a decision depends on (window, position, state) alone.
+func TestSharedBaselinesDecideAsSerial(t *testing.T) {
+	bl, err := NewBL(blCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRandom(7)
+	for _, tc := range []struct {
+		name  string
+		d     operator.Decider
+		set   func(x float64)
+		deact func()
+	}{
+		{"bl", bl, func(x float64) { bl.SetDropAmount(x, 20) }, bl.Deactivate},
+		{"random", r, func(x float64) { r.SetDropAmount(x, 20) }, r.Deactivate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const fixedX = 7.0
+			tc.set(fixedX)
+			checkSharedDecisions(t, tc.d, func(i int) {
+				if i%3 == 0 {
+					tc.deact()
+				} else {
+					tc.set(float64(1 + i%11))
+				}
+			}, func() { tc.set(fixedX) })
+		})
+	}
+}
+
+// checkSharedDecisions records a single-goroutine pass of d over four
+// disjoint window ranges, then lets four goroutines decide those ranges
+// concurrently while flip(i) churns d's state; after restore() fixes the
+// state again, each goroutine's next pass must equal its recorded range.
+func checkSharedDecisions(t *testing.T, d operator.Decider, flip func(i int), restore func()) {
+	t.Helper()
+	const (
+		deciders = 4
+		windows  = 64 // per goroutine
+		ws       = 20
+	)
+	pass := func(g int) []bool {
+		out := make([]bool, 0, windows*ws)
+		for w := g * windows; w < (g+1)*windows; w++ {
+			for pos := 0; pos < ws; pos++ {
+				out = append(out, drop(d, window.ID(w), event.Type(pos%3), pos, ws))
+			}
+		}
+		return out
+	}
+	want := make([][]bool, deciders)
+	drops := 0
+	for g := range want {
+		want[g] = pass(g)
+		for _, dropped := range want[g] {
+			if dropped {
+				drops++
+			}
+		}
+	}
+	if drops == 0 || drops == deciders*windows*ws {
+		t.Fatalf("fixed state drops %d of %d memberships; the check needs both outcomes", drops, deciders*windows*ws)
+	}
+	settled := make(chan struct{})
+	got := make([][]bool, deciders)
+	var wg sync.WaitGroup
+	for g := 0; g < deciders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-settled:
+					got[g] = pass(g)
+					return
+				default:
+					pass(g)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 500; i++ {
+		flip(i)
+	}
+	restore()
+	close(settled)
+	wg.Wait()
+	for g := range want {
+		for i := range want[g] {
+			if got[g][i] != want[g][i] {
+				t.Fatalf("goroutine %d decision %d = %v, single-goroutine pass %v", g, i, got[g][i], want[g][i])
+			}
+		}
 	}
 }

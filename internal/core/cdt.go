@@ -43,18 +43,6 @@ func ComputePartitioning(ws int, qmax, f float64) Partitioning {
 	return Partitioning{Rho: rho, PSize: psize, WS: ws}
 }
 
-// PartitionOf maps a window position to its partition index.
-func (p Partitioning) PartitionOf(pos int) int {
-	if pos < 0 || p.PSize <= 0 {
-		return 0
-	}
-	part := pos / p.PSize
-	if part >= p.Rho {
-		part = p.Rho - 1
-	}
-	return part
-}
-
 // CDT holds the cumulative utility occurrences O(u) per partition
 // (Section 3.3 and Algorithm 1): CDT(part, u) is the expected number of
 // events per partition whose utility is <= u. Utility values index the

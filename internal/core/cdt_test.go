@@ -250,3 +250,15 @@ func TestThresholdMinimalityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// PartitionOf maps a window position to its partition index.
+func (p Partitioning) PartitionOf(pos int) int {
+	if pos < 0 || p.PSize <= 0 {
+		return 0
+	}
+	part := pos / p.PSize
+	if part >= p.Rho {
+		part = p.Rho - 1
+	}
+	return part
+}

@@ -72,16 +72,6 @@ func (d *OverloadDetector) QMax(throughput float64) float64 {
 	return d.cfg.LatencyBound.Seconds() * throughput
 }
 
-// EstimatedLatency returns l(e) for an event at queue position n given
-// the operator throughput: l(e) = n * l(p).
-func (d *OverloadDetector) EstimatedLatency(queuePos int, throughput float64) event.Time {
-	if throughput <= 0 {
-		return 0
-	}
-	sec := float64(queuePos) / throughput
-	return event.Time(sec * float64(event.Second))
-}
-
 // Evaluate takes the current measurements — queue size, input event rate
 // R (events/s), operator throughput th (events/s) and the current window
 // size ws — and returns the shedding decision:

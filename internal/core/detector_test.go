@@ -203,3 +203,13 @@ func TestPartitionSizeWithinBufferProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// EstimatedLatency returns l(e) for an event at queue position n given
+// the operator throughput: l(e) = n * l(p).
+func (d *OverloadDetector) EstimatedLatency(queuePos int, throughput float64) event.Time {
+	if throughput <= 0 {
+		return 0
+	}
+	sec := float64(queuePos) / throughput
+	return event.Time(sec * float64(event.Second))
+}

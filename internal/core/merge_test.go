@@ -171,3 +171,28 @@ func TestNewUntrainedModel(t *testing.T) {
 		t.Error("Types=0 must fail")
 	}
 }
+
+// Snapshot returns an independent copy of the builder's current
+// statistics: cheap — proportional to the table size, not to the windows
+// observed — so a supervisor can capture a shard's state while the shard
+// keeps accumulating. Buffered windows (deferred mode) are shared
+// structurally; they are immutable once observed.
+func (b *ModelBuilder) Snapshot() *ModelBuilder {
+	cp := &ModelBuilder{
+		cfg:         b.cfg,
+		windows:     b.windows,
+		matchesSeen: b.matchesSeen,
+		sizeSum:     b.sizeSum,
+		deferred:    b.deferred,
+	}
+	if b.matchCounts != nil {
+		cp.matchCounts = append([]float64(nil), b.matchCounts...)
+		cp.posCounts = append([]float64(nil), b.posCounts...)
+	}
+	if b.deferred {
+		cp.bufWindows = append([][]window.Entry(nil), b.bufWindows...)
+		cp.bufSizes = append([]int(nil), b.bufSizes...)
+		cp.bufMatchIdx = append([][]int(nil), b.bufMatchIdx...)
+	}
+	return cp
+}

@@ -44,16 +44,6 @@ func (m *Model) Share(t event.Type, b int) float64 {
 	return m.shares[int(t)*m.ut.bins+b]
 }
 
-// ExpectedEventsPerWindow sums the position shares: the average window
-// size as seen in UT coordinates.
-func (m *Model) ExpectedEventsPerWindow() float64 {
-	total := 0.0
-	for _, s := range m.shares {
-		total += s
-	}
-	return total
-}
-
 // Trained reports whether the model carries enough evidence to shed
 // safely: at least one observed complex event. An untrained model would
 // assign utility 0 everywhere and a threshold lookup would then drop
@@ -235,31 +225,6 @@ func (b *ModelBuilder) Merge(o *ModelBuilder) error {
 	b.matchesSeen += o.matchesSeen
 	b.sizeSum += o.sizeSum
 	return nil
-}
-
-// Snapshot returns an independent copy of the builder's current
-// statistics: cheap — proportional to the table size, not to the windows
-// observed — so a supervisor can capture a shard's state while the shard
-// keeps accumulating. Buffered windows (deferred mode) are shared
-// structurally; they are immutable once observed.
-func (b *ModelBuilder) Snapshot() *ModelBuilder {
-	cp := &ModelBuilder{
-		cfg:         b.cfg,
-		windows:     b.windows,
-		matchesSeen: b.matchesSeen,
-		sizeSum:     b.sizeSum,
-		deferred:    b.deferred,
-	}
-	if b.matchCounts != nil {
-		cp.matchCounts = append([]float64(nil), b.matchCounts...)
-		cp.posCounts = append([]float64(nil), b.posCounts...)
-	}
-	if b.deferred {
-		cp.bufWindows = append([][]window.Entry(nil), b.bufWindows...)
-		cp.bufSizes = append([]int(nil), b.bufSizes...)
-		cp.bufMatchIdx = append([][]int(nil), b.bufMatchIdx...)
-	}
-	return cp
 }
 
 // Config returns the builder's (defaulted) configuration.

@@ -268,3 +268,13 @@ func TestNewModelFromTableValidation(t *testing.T) {
 		t.Error("OOB Share must be 0")
 	}
 }
+
+// ExpectedEventsPerWindow sums the position shares: the average window
+// size as seen in UT coordinates.
+func (m *Model) ExpectedEventsPerWindow() float64 {
+	total := 0.0
+	for _, s := range m.shares {
+		total += s
+	}
+	return total
+}

@@ -125,3 +125,28 @@ func TestSaveLoadProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Equal reports whether two models carry identical tables, shares and
+// counters.
+func (m *Model) Equal(o *Model) bool {
+	if m == nil || o == nil {
+		return m == o
+	}
+	if m.n != o.n || m.windows != o.windows || m.matches != o.matches {
+		return false
+	}
+	if m.ut.types != o.ut.types || m.ut.n != o.ut.n || m.ut.binSize != o.ut.binSize {
+		return false
+	}
+	for i := range m.ut.vals {
+		if m.ut.vals[i] != o.ut.vals[i] {
+			return false
+		}
+	}
+	for i := range m.shares {
+		if m.shares[i] != o.shares[i] {
+			return false
+		}
+	}
+	return true
+}

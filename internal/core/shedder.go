@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/event"
+	"repro/internal/window"
 )
 
 // Shedder is the eSPICE load shedder LS (Section 3.5, Algorithm 2). Its
@@ -13,9 +14,12 @@ import (
 // already overloaded operator.
 //
 // The shedder is configured by the overload detector through Configure
-// and Deactivate; decisions are read through Drop. Configuration and
-// decisions may happen on different goroutines: the state is swapped
-// atomically and is immutable once published.
+// and Deactivate; decisions are read through DropCounted. Configuration
+// and decisions may happen on different goroutines: the state is swapped
+// atomically and is immutable once published, and a decision is a pure
+// function of (window, position, published state) — the at-threshold
+// coin included — so every shard of a pipeline shares one shedder and
+// makes the decisions a serial run makes.
 type Shedder struct {
 	state atomic.Pointer[shedState]
 
@@ -30,10 +34,6 @@ type Shedder struct {
 	// each partition") and yields the steady latency plateau of Figure 7.
 	// Disable with SetExactAmount(false) for the literal algorithm.
 	exact atomic.Bool
-
-	// rngState is a small xorshift-style generator for the border
-	// probability; atomic so concurrent Drop calls stay data-race free.
-	rngState atomic.Uint64
 
 	// decisions/drops are lightweight counters for observability; they
 	// are only approximate under concurrency (atomic adds).
@@ -62,7 +62,6 @@ func NewShedder(model *Model) (*Shedder, error) {
 	s := &Shedder{}
 	s.state.Store(&shedState{model: model})
 	s.exact.Store(true)
-	s.rngState.Store(0x9E3779B97F4A7C15)
 	return s, nil
 }
 
@@ -93,12 +92,12 @@ func (s *Shedder) SetModel(model *Model) error {
 // without disturbing an active overload configuration: when shedding is
 // active, the CDT and the per-partition thresholds are re-derived from
 // the new model under the current partitioning and drop amount x, and the
-// whole state is swapped in one atomic publish — concurrent Drop calls
+// whole state is swapped in one atomic publish — concurrent decisions
 // see either the old model with its thresholds or the new model with its
 // thresholds, never a mix. An inactive shedder just adopts the model.
 // Swapping in an untrained model deactivates shedding until the next
 // Configure (there is no evidence to discriminate utilities).
-// Safe to call concurrently with Drop, Configure and Deactivate.
+// Safe to call concurrently with decisions, Configure and Deactivate.
 func (s *Shedder) SwapModel(model *Model) error {
 	if model == nil {
 		return fmt.Errorf("core: SwapModel needs a model")
@@ -118,11 +117,6 @@ func (s *Shedder) SwapModel(model *Model) error {
 		}
 	}
 }
-
-// SeedRNG resets the border-probability random generator to a known
-// state, making the probabilistic at-threshold dropping path
-// deterministic — for tests and reproducible replays.
-func (s *Shedder) SeedRNG(seed uint64) { s.rngState.Store(seed) }
 
 // Model returns the current model.
 func (s *Shedder) Model() *Model { return s.state.Load().model }
@@ -223,15 +217,11 @@ func (s *Shedder) Deactivate() {
 	}
 }
 
-// Drop implements applyLS (Algorithm 2): it reports whether the event of
-// type t at position pos within a window of (predicted) size ws should be
-// dropped from that window. The same event may be dropped from one window
-// and kept in another, because its position — and hence its utility —
-// differs per window. Drop updates the observability counters with two
-// atomic adds per call; hot loops making many decisions per batch should
-// use DropCounted + TallyDecisions instead.
+// Drop decides as window 0 (see DropCounted) and updates the
+// observability counters with two atomic adds per call; the operator's
+// hot loop uses DropCounted + TallyDecisions instead.
 func (s *Shedder) Drop(t event.Type, pos, ws int) bool {
-	drop, counted := s.DropCounted(t, pos, ws)
+	drop, counted := s.DropCounted(0, t, pos, ws)
 	if counted {
 		s.decisions.Add(1)
 		if drop {
@@ -241,12 +231,16 @@ func (s *Shedder) Drop(t event.Type, pos, ws int) bool {
 	return drop
 }
 
-// DropCounted is the decision core of Drop without the counter updates:
-// counted reports whether shedding was active (i.e. whether the call
-// counts as a decision). Callers batch the outcomes locally and flush
-// them through TallyDecisions once per processing batch, replacing two
-// contended atomic adds per membership with two per batch.
-func (s *Shedder) DropCounted(t event.Type, pos, ws int) (drop, counted bool) {
+// DropCounted implements applyLS (Algorithm 2): it reports whether the
+// event of type t at position pos within window win of (predicted) size
+// ws should be dropped from that window, and whether the call counts as
+// a decision (shedding active). The same event may be dropped from one
+// window and kept in another, because its position — and hence its
+// utility — differs per window. An event exactly at its partition's
+// threshold drops when Coin(win, pos) falls below the partition's border
+// probability. Callers tally the outcomes locally and flush them through
+// TallyDecisions once per processing batch.
+func (s *Shedder) DropCounted(win window.ID, t event.Type, pos, ws int) (drop, counted bool) {
 	st := s.state.Load()
 	if st.uth == nil {
 		return false, false
@@ -277,9 +271,7 @@ func (s *Shedder) DropCounted(t event.Type, pos, ws int) (drop, counted bool) {
 		if s.exact.Load() {
 			q = st.borderProb[part]
 		}
-		if q >= 1 || s.randFloat() < q {
-			return true, true
-		}
+		return q >= 1 || Coin(coinSeed, win, pos) < q, true
 	}
 	return false, true
 }
@@ -295,15 +287,20 @@ func (s *Shedder) TallyDecisions(decisions, drops uint64) {
 	}
 }
 
-// randFloat returns a cheap deterministic pseudo-random value in [0, 1)
-// using an atomic splitmix64 step — safe (and merely interleaved, not
-// corrupted) under concurrent Drop calls.
-func (s *Shedder) randFloat() float64 {
-	z := s.rngState.Add(0x9E3779B97F4A7C15)
+// coinSeed seeds the eSPICE shedder's at-threshold coin.
+const coinSeed = 0x9E3779B97F4A7C15
+
+// Coin is the shedders' one source of chance: a uniform value in [0, 1)
+// that is a pure function of a seed, a window and a position in it — one
+// splitmix64 finalisation of their mix. Window IDs are assigned by the
+// windowing policy, so a membership draws the same coin on the serial,
+// sharded and engine paths, whichever goroutine decides it.
+func Coin(seed uint64, win window.ID, pos int) float64 {
+	z := seed + uint64(win)*0x9E3779B97F4A7C15 + uint64(pos)*0xD1B54A32D192ED03
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
+	return float64(z>>11) / (1 << 53)
 }
 
 // Decisions reports how many shedding decisions were taken while active.

@@ -5,7 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/window"
 )
+
+// dropIn is one decision of s in window win, its count discarded.
+func dropIn(s *Shedder, win int, t event.Type, pos, ws int) bool {
+	drop, _ := s.DropCounted(window.ID(win), t, pos, ws)
+	return drop
+}
 
 func trainedModel(t *testing.T) *Model {
 	t.Helper()
@@ -271,15 +278,15 @@ func TestShedderExactAmountBorderThinning(t *testing.T) {
 	}
 	// Below threshold: always dropped.
 	for i := 0; i < 100; i++ {
-		if !s.Drop(0, 3, 5) { // A pos3, u=5 < 10
+		if !dropIn(s, i, 0, 3, 5) { // A pos3, u=5 < 10
 			t.Fatal("below-threshold event must always drop")
 		}
 	}
-	// At threshold: dropped ~2/3 of the time.
+	// At threshold: dropped in ~2/3 of the windows.
 	const trials = 30000
 	drops := 0
 	for i := 0; i < trials; i++ {
-		if s.Drop(0, 2, 5) { // A pos2, u=10 == u_th
+		if dropIn(s, i, 0, 2, 5) { // A pos2, u=10 == u_th
 			drops++
 		}
 	}
@@ -318,7 +325,7 @@ func TestShedderExactVsAtLeastExpectedDrops(t *testing.T) {
 		total := 0
 		for w := 0; w < windows; w++ {
 			for p := 0; p < 10; p++ {
-				if s.Drop(0, p, 10) {
+				if dropIn(s, w, 0, p, 10) {
 					total++
 				}
 			}
@@ -374,7 +381,7 @@ func TestDropCountedBatchesCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inactive: not a decision.
-	if drop, counted := s.DropCounted(0, 0, 5); drop || counted {
+	if drop, counted := s.DropCounted(0, 0, 0, 5); drop || counted {
 		t.Fatalf("inactive DropCounted = (%v, %v), want (false, false)", drop, counted)
 	}
 	if err := s.Configure(Partitioning{Rho: 1, PSize: 5, WS: 5}, 2); err != nil {
@@ -382,7 +389,7 @@ func TestDropCountedBatchesCounters(t *testing.T) {
 	}
 	var decisions, drops uint64
 	for pos := 0; pos < 5; pos++ {
-		drop, counted := s.DropCounted(0, pos, 5)
+		drop, counted := s.DropCounted(0, 0, pos, 5)
 		if !counted {
 			t.Fatalf("active DropCounted at pos %d not counted", pos)
 		}

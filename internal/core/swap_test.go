@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/window"
 )
 
 // swapModels builds two trained models over the same dimensions with
@@ -156,7 +157,7 @@ func TestSwapModelConcurrentDrop(t *testing.T) {
 			for !stop.Load() {
 				var dec, drops uint64
 				for i := 0; i < 64; i++ {
-					drop, counted := s.DropCounted(0, pos%10, 10)
+					drop, counted := s.DropCounted(window.ID(pos/10), 0, pos%10, 10)
 					if counted {
 						dec++
 						if drop {
@@ -196,32 +197,102 @@ func TestSwapModelConcurrentDrop(t *testing.T) {
 	}
 }
 
-// TestSeedRNGDeterministic: with the same seed, two shedders configured
-// identically make identical border-probability decisions.
-func TestSeedRNGDeterministic(t *testing.T) {
-	mk := func() *Shedder {
-		m := trainedModel(t)
-		s, err := NewShedder(m)
+// TestSharedShedderDecidesAsSerial shares one shedder between four
+// deciding goroutines, each over its own window IDs, while a fifth flips
+// Configure, Deactivate and SwapModel (run under -race). Once the state
+// is fixed again, every goroutine's decisions — at-threshold coins
+// included — equal a single-goroutine pass: a decision depends on
+// (window, position, state) alone.
+func TestSharedShedderDecidesAsSerial(t *testing.T) {
+	m := paperExampleModel(t)
+	other := paperExampleModel(t)
+	other.UT().Set(0, 2, 40) // a model whose swap moves A's border
+	part := Partitioning{Rho: 1, PSize: 5, WS: 5}
+	const x = 2.0 // u_th = 10, border probability 2/3 (see BorderThinning)
+	s, err := NewShedder(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		deciders = 4
+		windows  = 256 // per goroutine
+		ws       = 5
+	)
+	pass := func(g int) []bool {
+		out := make([]bool, 0, windows*ws)
+		for w := g * windows; w < (g+1)*windows; w++ {
+			for pos := 0; pos < ws; pos++ {
+				drop, _ := s.DropCounted(window.ID(w), event.Type(w%2), pos, ws)
+				out = append(out, drop)
+			}
+		}
+		return out
+	}
+	settle := func() {
+		if err := s.SwapModel(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Configure(part, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle()
+	want := make([][]bool, deciders)
+	for g := range want {
+		want[g] = pass(g)
+	}
+	// Pass 0 holds A's and B's at-threshold cells (A pos2, B pos3): the
+	// coin must have come down both ways.
+	border := map[bool]int{}
+	for w := 0; w < windows; w++ {
+		border[want[0][w*ws+2+w%2]]++
+	}
+	if border[true] == 0 || border[false] == 0 {
+		t.Fatalf("at-threshold outcomes %v; the check needs both", border)
+	}
+
+	settled := make(chan struct{})
+	got := make([][]bool, deciders)
+	var wg sync.WaitGroup
+	for g := 0; g < deciders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-settled:
+					got[g] = pass(g)
+					return
+				default:
+					pass(g)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 300; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			err = s.Configure(part, float64(1+i%3))
+		case 1:
+			s.Deactivate()
+		case 2:
+			err = s.SwapModel(other)
+		case 3:
+			err = s.SwapModel(m)
+		}
 		if err != nil {
-			t.Fatal(err)
-		}
-		// x = 0.5 on single-event partitions forces the at-threshold
-		// probabilistic path.
-		if err := s.Configure(Partitioning{Rho: 5, PSize: 1, WS: 5}, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		s.SeedRNG(12345)
-		return s
-	}
-	s1, s2 := mk(), mk()
-	for i := 0; i < 2000; i++ {
-		d1 := s1.Drop(event.Type(i%2), i%5, 5)
-		d2 := s2.Drop(event.Type(i%2), i%5, 5)
-		if d1 != d2 {
-			t.Fatalf("decision %d diverged: %v vs %v", i, d1, d2)
+			t.Fatalf("flip %d: %v", i, err)
 		}
 	}
-	if s1.Drops() == 0 || s1.Drops() == s1.Decisions() {
-		t.Errorf("border path not probabilistic: %d/%d drops", s1.Drops(), s1.Decisions())
+	settle()
+	close(settled)
+	wg.Wait()
+	for g := range want {
+		for i := range want[g] {
+			if got[g][i] != want[g][i] {
+				t.Fatalf("goroutine %d decision %d = %v, single-goroutine pass %v", g, i, got[g][i], want[g][i])
+			}
+		}
 	}
 }

@@ -356,8 +356,8 @@ func (e *Engine) Register(cfg QueryConfig) (*Query, error) {
 			return nil, fmt.Errorf("engine: query %s: %w", name, err)
 		}
 		q.shedder = s
-		// With Shards > 1 every shard shares this one shedder; its state
-		// swaps atomically, so lockstep commands stay consistent.
+		// With Shards > 1 every shard shares this one shedder: its
+		// decisions are pure functions of (window, position, state).
 		rcfg.Operator.Shedder = s
 	}
 	// A pipeline panic hands q to Run for quarantine; fired at most once

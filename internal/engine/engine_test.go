@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/harness"
 	"repro/internal/operator"
@@ -69,8 +70,16 @@ func syntheticStream(n int) []event.Event {
 // returns the detected complex events.
 func runStandalone(tb testing.TB, q queries.Query, events []event.Event) []operator.ComplexEvent {
 	tb.Helper()
+	out, _ := runStandaloneShed(tb, q, nil, events)
+	return out
+}
+
+// runStandaloneShed is runStandalone under a shedding decider; it also
+// returns the pipeline's counters.
+func runStandaloneShed(tb testing.TB, q queries.Query, shed operator.Decider, events []event.Event) ([]operator.ComplexEvent, runtime.Stats) {
+	tb.Helper()
 	pipe, err := runtime.New(runtime.Config{
-		Operator: operator.Config{Window: q.Window, Patterns: q.Patterns},
+		Operator: operator.Config{Window: q.Window, Patterns: q.Patterns, Shedder: shed},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -91,7 +100,7 @@ func runStandalone(tb testing.TB, q queries.Query, events []event.Event) []opera
 		tb.Fatal(err)
 	}
 	<-collected
-	return out
+	return out, pipe.Stats()
 }
 
 func TestTypeFilter(t *testing.T) {
@@ -141,28 +150,109 @@ func TestDistributeBudget(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalence is the deterministic end-to-end check: with
-// shedding disabled, each query's output under the engine is identical
-// to running its pipeline standalone on the query's filtered stream.
+// TestEngineEquivalence is the deterministic end-to-end check: each
+// query's output under the engine is identical to running its pipeline
+// standalone on the query's filtered stream. Two inputs: three unshed
+// serial queries, and one query on two shards whose eSPICE shedder is
+// held at a fixed drop amount whose border coin decides every A — there
+// the engine must also shed what the standalone run sheds, and a second
+// engine run exactly as much again.
 func TestEngineEquivalence(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	events := syntheticStream(4096)
+	for _, tc := range []struct {
+		name   string
+		nq     int
+		model  *core.Model
+		shards int
+	}{
+		{"unshed", 3, nil, 1},
+		{"shedding/shards=2", 1, borderModel(t), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfgs := make([]QueryConfig, tc.nq)
+			for i := range cfgs {
+				cfgs[i] = QueryConfig{Query: pairQuery(t, i), Model: tc.model, Shards: tc.shards}
+			}
+			outs, handles, st := runEngine(t, cfgs, events)
+			for i, h := range handles {
+				filtered := h.FilterEvents(events)
+				if want := len(events) / (numTypes / 2); len(filtered) != want {
+					t.Fatalf("query %d filtered stream has %d events, want %d", i, len(filtered), want)
+				}
+				var shed operator.Decider
+				if tc.model != nil {
+					shed = borderShedder(t, tc.model)
+				}
+				want, wst := runStandaloneShed(t, pairQuery(t, i), shed, filtered)
+				if len(want) == 0 {
+					t.Fatalf("query %d standalone run detected nothing; test is vacuous", i)
+				}
+				if !reflect.DeepEqual(outs[i], want) {
+					t.Errorf("query %d: engine output diverges from standalone:\n got %d events\nwant %d events",
+						i, len(outs[i]), len(want))
+					continue
+				}
+				// Byte-identical under the canonical complex-event rendering.
+				if fmt.Sprint(outs[i]) != fmt.Sprint(want) {
+					t.Errorf("query %d: rendered outputs differ", i)
+				}
+				got := h.Pipeline().Stats().Operator
+				if got.MembershipsShed != wst.Operator.MembershipsShed {
+					t.Errorf("query %d: engine shed %d memberships, standalone %d", i, got.MembershipsShed, wst.Operator.MembershipsShed)
+				}
+				if tc.model != nil && (wst.Operator.MembershipsShed == 0 || wst.Operator.MembershipsKept == 0) {
+					t.Errorf("query %d: fixed-state shedder split memberships %+v; want both kept and shed", i, wst.Operator)
+				}
+			}
+			if tc.model != nil {
+				_, again, _ := runEngine(t, cfgs, events)
+				if a, b := again[0].Pipeline().Stats().Operator, handles[0].Pipeline().Stats().Operator; a != b {
+					t.Errorf("second engine run counted %+v, first %+v", a, b)
+				}
+			}
+
+			if st.Submitted != uint64(len(events)) {
+				t.Errorf("Submitted = %d, want %d", st.Submitted, len(events))
+			}
+			perQuery := uint64(len(events) / (numTypes / 2))
+			for _, qs := range st.Queries {
+				if qs.Delivered != perQuery {
+					t.Errorf("query %s delivered %d, want %d", qs.Name, qs.Delivered, perQuery)
+				}
+				if qs.Skipped != uint64(len(events))-perQuery {
+					t.Errorf("query %s skipped %d, want %d", qs.Name, qs.Skipped, uint64(len(events))-perQuery)
+				}
+			}
+		})
+	}
+}
+
+// runEngine registers cfgs on a fresh budget-free engine, holds every
+// query's shedder at borderShedder's state, replays events and returns
+// each query's output, the handles and the engine's counters.
+func runEngine(t *testing.T, cfgs []QueryConfig, events []event.Event) ([][]operator.ComplexEvent, []*Query, Stats) {
+	t.Helper()
 	e, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nq = 3
-	handles := make([]*Query, nq)
-	for i := 0; i < nq; i++ {
-		h, err := e.Register(QueryConfig{Query: pairQuery(t, i)})
+	handles := make([]*Query, len(cfgs))
+	for i, cfg := range cfgs {
+		h, err := e.Register(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if h.shedder != nil {
+			if err := h.shedder.Configure(borderPart, borderX); err != nil {
+				t.Fatal(err)
+			}
 		}
 		handles[i] = h
 	}
 	done := make(chan error, 1)
 	go func() { done <- e.Run(context.Background()) }()
-	outs := make([][]operator.ComplexEvent, nq)
+	outs := make([][]operator.ComplexEvent, len(cfgs))
 	var wg sync.WaitGroup
 	for i, h := range handles {
 		wg.Add(1)
@@ -179,40 +269,50 @@ func TestEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+	return outs, handles, e.Stats()
+}
 
-	for i, h := range handles {
-		filtered := h.FilterEvents(events)
-		if want := len(events) / (numTypes / 2); len(filtered) != want {
-			t.Fatalf("query %d filtered stream has %d events, want %d", i, len(filtered), want)
-		}
-		want := runStandalone(t, pairQuery(t, i), filtered)
-		if len(want) == 0 {
-			t.Fatalf("query %d standalone run detected nothing; test is vacuous", i)
-		}
-		if !reflect.DeepEqual(outs[i], want) {
-			t.Errorf("query %d: engine output diverges from standalone:\n got %d events\nwant %d events",
-				i, len(outs[i]), len(want))
-			continue
-		}
-		// Byte-identical under the canonical complex-event rendering.
-		if fmt.Sprint(outs[i]) != fmt.Sprint(want) {
-			t.Errorf("query %d: rendered outputs differ", i)
-		}
+// borderModel is a trained model for pairQuery(0)'s filtered stream
+// (types 0 and 1, 16 events per window) on which A (0) sits on the
+// threshold Configure(borderPart, borderX) derives, dropping with
+// probability 1/2, while B (1) is always kept.
+func borderModel(tb testing.TB) *core.Model {
+	tb.Helper()
+	ut, err := core.NewUtilityTable(numTypes, 16, 1)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	shares := make([][]float64, numTypes)
+	for typ := range shares {
+		shares[typ] = make([]float64, 16)
+	}
+	for pos := 0; pos < 16; pos++ {
+		ut.Set(0, pos, 10)
+		ut.Set(1, pos, 20)
+		shares[0][pos], shares[1][pos] = 0.5, 0.5
+	}
+	m, err := core.NewModelFromTable(ut, shares)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
-	st := e.Stats()
-	if st.Submitted != uint64(len(events)) {
-		t.Errorf("Submitted = %d, want %d", st.Submitted, len(events))
+var borderPart = core.Partitioning{Rho: 1, PSize: 16, WS: 16}
+
+const borderX = 4
+
+// borderShedder is a shedder over m held at Configure(borderPart, borderX).
+func borderShedder(t *testing.T, m *core.Model) *core.Shedder {
+	t.Helper()
+	s, err := core.NewShedder(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	perQuery := uint64(len(events) / (numTypes / 2))
-	for _, qs := range st.Queries {
-		if qs.Delivered != perQuery {
-			t.Errorf("query %s delivered %d, want %d", qs.Name, qs.Delivered, perQuery)
-		}
-		if qs.Skipped != uint64(len(events))-perQuery {
-			t.Errorf("query %s skipped %d, want %d", qs.Name, qs.Skipped, uint64(len(events))-perQuery)
-		}
+	if err := s.Configure(borderPart, borderX); err != nil {
+		t.Fatal(err)
 	}
+	return s
 }
 
 // TestDeregisterUnderLiveTraffic removes a query mid-stream: the call

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/window"
 )
 
 // MeasureShedderOverhead times the O(1) shedding decision (a utility-table
@@ -87,13 +88,15 @@ func timeShedderDecision(ws, types int, rng *rand.Rand) (float64, error) {
 	// Warm up, then measure.
 	sink := false
 	for i := 0; i < samples; i++ {
-		sink = shedder.Drop(typesIdx[i], posIdx[i], ws) || sink
+		drop, _ := shedder.DropCounted(0, typesIdx[i], posIdx[i], ws)
+		sink = drop || sink
 	}
 	const rounds = 8
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < samples; i++ {
-			sink = shedder.Drop(typesIdx[i], posIdx[i], ws) || sink
+			drop, _ := shedder.DropCounted(window.ID(r), typesIdx[i], posIdx[i], ws)
+			sink = drop || sink
 		}
 	}
 	elapsed := time.Since(start)

@@ -18,26 +18,19 @@ import (
 )
 
 // Decider is the shedding decision interface: called once per
-// (event, window) membership with the event type, the event's position in
-// that window, and the window's (predicted) size. Implementations must be
-// O(1); they sit on the hot path.
+// (event, window) membership with the window's ID, the event type, the
+// event's position in that window, and the window's (predicted) size.
+// A decision must be O(1), since it sits on the hot path, and a pure
+// function of those coordinates and the decider's published state: all
+// shards of a pipeline share one decider, and serial and sharded runs
+// must decide alike.
 type Decider interface {
-	Drop(t event.Type, pos, ws int) bool
-}
-
-// BatchingDecider is an optional Decider extension for deciders that
-// keep observability counters behind atomics (core.Shedder): the caller
-// makes raw decisions through DropCounted, tallies them locally, and
-// flushes once per processing batch through TallyDecisions — two atomic
-// adds per batch instead of two per membership. Owner detects this
-// interface and prefers it automatically.
-type BatchingDecider interface {
-	Decider
 	// DropCounted returns the drop decision and whether the call counts
 	// as a decision (shedding active).
-	DropCounted(t event.Type, pos, ws int) (drop, counted bool)
+	DropCounted(win window.ID, t event.Type, pos, ws int) (drop, counted bool)
 	// TallyDecisions folds locally accumulated decision/drop counts into
-	// the decider's counters.
+	// the decider's counters; the Owner flushes once per processing
+	// batch, two atomic adds per batch instead of two per membership.
 	TallyDecisions(decisions, drops uint64)
 }
 
@@ -123,7 +116,6 @@ type Owner struct {
 	win     window.Owner
 	matcher *Matcher
 	shedder Decider
-	batched BatchingDecider // non-nil when shedder supports batching
 	tap     *FeedbackTap
 	hook    WindowCloseHook
 
@@ -141,20 +133,11 @@ func NewOwner(cfg Config) (*Owner, error) {
 			return nil, fmt.Errorf("operator: pattern %d is nil", i)
 		}
 	}
-	o := &Owner{
+	return &Owner{
 		matcher: NewMatcher(cfg.Patterns, cfg.MaxMatchesPerWindow),
+		shedder: cfg.Shedder,
 		hook:    cfg.OnWindowClose,
-	}
-	o.setShedder(cfg.Shedder)
-	return o, nil
-}
-
-// setShedder installs the shedding decider, tallying the previous
-// one's pending decisions first.
-func (o *Owner) setShedder(d Decider) {
-	o.Tally()
-	o.shedder = d
-	o.batched, _ = d.(BatchingDecider)
+	}, nil
 }
 
 // SetTap installs the online model lifecycle's feedback tap, fed every
@@ -178,7 +161,7 @@ func (o *Owner) Route(e event.Event) (kept int) {
 	open := o.win.Push(e)
 	for _, w := range open {
 		pos := w.Arrivals - 1
-		if o.shed(e.Type, pos, w.ExpectedSize) {
+		if o.shed(w.ID, e.Type, pos, w.ExpectedSize) {
 			w.Drop(pos)
 		} else {
 			kept++
@@ -190,28 +173,26 @@ func (o *Owner) Route(e event.Event) (kept int) {
 	return kept
 }
 
-// shed is the membership shedding decision: through the batching fast
-// path when available, counting for a later Tally, else the plain
-// Decider.
-func (o *Owner) shed(t event.Type, pos, ws int) bool {
-	if o.batched != nil {
-		dropped, counted := o.batched.DropCounted(t, pos, ws)
-		if counted {
-			o.decisions++
-			if dropped {
-				o.drops++
-			}
-		}
-		return dropped
+// shed is the membership shedding decision, counted for a later Tally.
+func (o *Owner) shed(win window.ID, t event.Type, pos, ws int) bool {
+	if o.shedder == nil {
+		return false
 	}
-	return o.shedder != nil && o.shedder.Drop(t, pos, ws)
+	dropped, counted := o.shedder.DropCounted(win, t, pos, ws)
+	if counted {
+		o.decisions++
+		if dropped {
+			o.drops++
+		}
+	}
+	return dropped
 }
 
 // Tally folds the batched decisions made since the last Tally into the
 // decider's counters.
 func (o *Owner) Tally() {
 	if o.decisions > 0 {
-		o.batched.TallyDecisions(o.decisions, o.drops)
+		o.shedder.TallyDecisions(o.decisions, o.drops)
 		o.decisions, o.drops = 0, 0
 	}
 }
@@ -260,10 +241,6 @@ func New(cfg Config) (*Operator, error) {
 	}
 	return &Operator{policy: policy, own: own}, nil
 }
-
-// SetShedder installs or replaces the shedding decider (nil disables).
-// Must be called from the processing goroutine.
-func (o *Operator) SetShedder(d Decider) { o.own.setShedder(d) }
 
 // SetTap installs a feedback tap (see Owner.SetTap).
 func (o *Operator) SetTap(t *FeedbackTap) { o.own.SetTap(t) }

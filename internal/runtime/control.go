@@ -42,8 +42,7 @@ func (p *Pipeline) startControl() func() {
 // controlLoop is the pipeline's one overload-control loop (Section 3.4),
 // serial or sharded: every PollInterval it re-estimates the input rate
 // and each lane's capacity, and forwards one detector decision to the
-// controller — commanding all shedders in lockstep when the controller
-// is a MultiController.
+// controller, which commands the shedder every lane shares.
 func (p *Pipeline) controlLoop(stop, done chan struct{}) {
 	defer close(done)
 	ticker := time.NewTicker(p.cfg.PollInterval)

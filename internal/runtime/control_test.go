@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/harness"
-	"repro/internal/operator"
 	"repro/internal/sim"
 	"repro/internal/window"
 )
@@ -95,7 +94,7 @@ func TestBacklogEvents(t *testing.T) {
 // shedsUnderOverload drives one pipeline shape over both window kinds
 // with ProcessingDelay pinning the capacity far below the offered load.
 // In every cell the control loop must reach an Overloaded decision with
-// X > 0 and the shedders must drop memberships. The sparse windows are
+// X > 0 and the shedder must drop memberships. The sparse windows are
 // the hard case when sharded: a predicate opens a 10-event window once
 // per 1000 events (kbar 0.01), so the few hundred memberships staged in
 // the shard queues stand for the whole 40000-event backlog.
@@ -112,15 +111,9 @@ func shedsUnderOverload(t *testing.T, shards int) {
 		{"sparse", sparse, 40000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			model := trainedTestModel(t)
-			deciders := make([]operator.Decider, shards)
-			ctrl := make(MultiController, shards)
-			for i := range deciders {
-				s, err := core.NewShedder(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				deciders[i], ctrl[i] = s, shedController{s}
+			s, err := core.NewShedder(trainedTestModel(t))
+			if err != nil {
+				t.Fatal(err)
 			}
 			det, err := core.NewOverloadDetector(core.DetectorConfig{
 				LatencyBound: 20 * event.Millisecond,
@@ -129,9 +122,9 @@ func shedsUnderOverload(t *testing.T, shards int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			log := &decisionLog{next: ctrl}
+			log := &decisionLog{next: shedController{s}}
 			cfg := Config{
-				Operator:        opConfig(deciders[0]),
+				Operator:        opConfig(s),
 				Shards:          shards,
 				Detector:        det,
 				Controller:      log,
@@ -139,9 +132,6 @@ func shedsUnderOverload(t *testing.T, shards int) {
 				ProcessingDelay: 200 * time.Microsecond,
 			}
 			cfg.Operator.Window = tc.window
-			if shards > 1 {
-				cfg.ShardDeciders = deciders
-			}
 			p, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -185,6 +175,6 @@ func shedsUnderOverload(t *testing.T, shards int) {
 // TestPipelineShedsUnderOverload: the serial pipeline, one lane.
 func TestPipelineShedsUnderOverload(t *testing.T) { shedsUnderOverload(t, 1) }
 
-// TestShardedShedsUnderOverload: per-shard shedders commanded in
-// lockstep by the one control loop through a MultiController.
+// TestShardedShedsUnderOverload: two shards sharing the one shedder the
+// control loop commands.
 func TestShardedShedsUnderOverload(t *testing.T) { shedsUnderOverload(t, 2) }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/harness"
 	"repro/internal/operator"
@@ -20,7 +22,99 @@ import (
 // needs from a shedder.
 type dropFunc func(t event.Type, pos, ws int) bool
 
-func (f dropFunc) Drop(t event.Type, pos, ws int) bool { return f(t, pos, ws) }
+func (f dropFunc) DropCounted(_ window.ID, t event.Type, pos, ws int) (bool, bool) {
+	return f(t, pos, ws), true
+}
+
+func (dropFunc) TallyDecisions(uint64, uint64) {}
+
+// The shedders the equivalence suites run a workload under: the
+// workload's own choice (dropFunc or none), then the paper's shedder and
+// its two baselines, each held at a fixed drop amount.
+const (
+	shedWorkload = iota
+	shedESPICE
+	shedBL
+	shedRandom
+	numShedKinds
+)
+
+var shedKindNames = [numShedKinds]string{"workload", "espice", "bl", "random"}
+
+// equivModel is a trained three-type model over 16 positions whose
+// utilities make Configure(two partitions of 8, x = 4) draw the border
+// coin: the irrelevant type C (2) has utility 0 and always drops, B (1)
+// sits exactly on the first half's threshold (10) and A (0) on the
+// second half's (20), each dropping with probability 1/2.
+func equivModel(tb testing.TB) *core.Model {
+	tb.Helper()
+	const n = 16
+	ut, err := core.NewUtilityTable(3, n, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	shares := make([][]float64, 3)
+	for typ := range shares {
+		shares[typ] = make([]float64, n)
+		for pos := 0; pos < n; pos++ {
+			shares[typ][pos] = 1.0 / 3
+			u := [3]int{20, 10, 0}[typ]
+			if typ == 1 && pos >= n/2 {
+				u = 30
+			}
+			ut.Set(event.Type(typ), pos, u)
+		}
+	}
+	m, err := core.NewModelFromTable(ut, shares)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// newEquivDecider builds a fresh decider of the given kind at its fixed
+// state; every call returns an identically configured one.
+func newEquivDecider(tb testing.TB, kind int) operator.Decider {
+	tb.Helper()
+	switch kind {
+	case shedESPICE:
+		s, err := core.NewShedder(equivModel(tb))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.Configure(core.Partitioning{Rho: 2, PSize: 8, WS: 16}, 4); err != nil {
+			tb.Fatal(err)
+		}
+		// B at position 0 sits on the first half's threshold: its coin
+		// must come down both ways across windows.
+		outcomes := map[bool]bool{}
+		for win := window.ID(0); win < 64; win++ {
+			drop, _ := s.DropCounted(win, typeB, 0, 16)
+			outcomes[drop] = true
+		}
+		if len(outcomes) != 2 {
+			tb.Fatalf("border coin came down only %v", outcomes)
+		}
+		return s
+	case shedBL:
+		b, err := baseline.NewBL(baseline.BLConfig{
+			Types:   3,
+			Weights: pattern.TypeWeights{PerType: map[event.Type]float64{typeA: 1, typeB: 1}},
+			Freq:    []float64{3, 3, 3},
+			Seed:    1,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b.SetDropAmount(3, 9)
+		return b
+	case shedRandom:
+		r := baseline.NewRandom(1)
+		r.SetDropAmount(1, 4)
+		return r
+	}
+	return nil
+}
 
 // propWorkload is one randomized overlapping-window workload.
 type propWorkload struct {
@@ -98,7 +192,9 @@ func makeWorkload(seed uint64, nEvents int) propWorkload {
 	return w
 }
 
-func (w propWorkload) config() Config {
+// config assembles the workload's pipeline under a fresh decider of the
+// given kind.
+func (w propWorkload) config(tb testing.TB, kind int) Config {
 	p := pattern.MustCompile(pattern.Pattern{
 		Name: "seq(A;B)",
 		Steps: []pattern.Step{
@@ -110,7 +206,10 @@ func (w propWorkload) config() Config {
 		Window:   w.spec,
 		Patterns: []*pattern.Compiled{p},
 	}}
-	if w.shed {
+	switch {
+	case kind != shedWorkload:
+		cfg.Operator.Shedder = newEquivDecider(tb, kind)
+	case w.shed:
 		cfg.Operator.Shedder = dropFunc(func(t event.Type, pos, ws int) bool {
 			return (int(t)+pos)%3 == 0
 		})
@@ -133,29 +232,54 @@ func streamSignature(ces []operator.ComplexEvent) string {
 // (count, sliding time and predicate-opened time windows with a Close
 // predicate — so closes staged both before and after a shard's event op
 // — skewed and uniform arrivals, with and without shedding), every
-// sharded pipeline in {2,4,8} emits a byte-identical
-// complex-event stream to the serial pipeline. Run with -race to
+// sharded pipeline in {2,4,8} emits a byte-identical complex-event
+// stream to the serial pipeline and sheds the same memberships. The
+// paper's shedder and both baselines, each shared by all shards at a
+// fixed drop amount, run every workload too, at {2,4} shards, and a
+// second serial run must shed exactly as the first. Run with -race to
 // exercise the partitioner, shard and epoch-merge handoffs.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	for seed := uint64(1); seed <= 9; seed++ { // seed 9 draws the predicate geometry
 		w := makeWorkload(seed, 0)
 		t.Run(w.label, func(t *testing.T) {
-			serial, _ := runCollect(t, w.config(), w.events)
-			want := streamSignature(serial)
-			if want == "" {
-				t.Skip("workload detects nothing; equivalence would be vacuous")
-			}
-			for _, shards := range []int{2, 4, 8} {
-				cfg := w.config()
-				cfg.Shards = shards
-				sharded, _ := runCollect(t, cfg, w.events)
-				if got := streamSignature(sharded); got != want {
-					t.Errorf("shards=%d: stream differs from serial (%d vs %d complex events)",
-						shards, len(sharded), len(serial))
-				}
+			for kind := 0; kind < numShedKinds; kind++ {
+				t.Run(shedKindNames[kind], func(t *testing.T) { checkShardedEquivalence(t, w, kind) })
 			}
 		})
+	}
+}
+
+// checkShardedEquivalence runs w under a decider of the given kind,
+// serial and sharded, and compares outputs and shed counts.
+func checkShardedEquivalence(t *testing.T, w propWorkload, kind int) {
+	serial, sst := runCollect(t, w.config(t, kind), w.events)
+	want := streamSignature(serial)
+	if want == "" {
+		t.Skip("workload detects nothing; equivalence would be vacuous")
+	}
+	shardCounts := []int{2, 4, 8}
+	if kind != shedWorkload {
+		shardCounts = shardCounts[:2]
+		if sst.Operator.MembershipsShed == 0 || sst.Operator.MembershipsKept == 0 {
+			t.Errorf("fixed-state shedder split memberships %+v; want both kept and shed", sst.Operator)
+		}
+		if _, again := runCollect(t, w.config(t, kind), w.events); again.Operator != sst.Operator {
+			t.Errorf("second serial run counted %+v, first %+v", again.Operator, sst.Operator)
+		}
+	}
+	for _, shards := range shardCounts {
+		cfg := w.config(t, kind)
+		cfg.Shards = shards
+		sharded, st := runCollect(t, cfg, w.events)
+		if got := streamSignature(sharded); got != want {
+			t.Errorf("shards=%d: stream differs from serial (%d vs %d complex events)",
+				shards, len(sharded), len(serial))
+		}
+		if st.Operator.MembershipsShed != sst.Operator.MembershipsShed {
+			t.Errorf("shards=%d: shed %d memberships, serial %d",
+				shards, st.Operator.MembershipsShed, sst.Operator.MembershipsShed)
+		}
 	}
 }
 
@@ -164,7 +288,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 // queue, no chunks, no goroutines — and flushed at the last timestamp.
 func bareOperatorSignature(t *testing.T, w propWorkload) string {
 	t.Helper()
-	op, err := operator.New(w.config().Operator)
+	op, err := operator.New(w.config(t, shedWorkload).Operator)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +322,7 @@ func TestSerialSubmitShapeEquivalence(t *testing.T) {
 			want := bareOperatorSignature(t, w)
 			for _, shape := range shapes {
 				rng := rand.New(rand.NewSource(int64(seed)))
-				cfg := w.config()
+				cfg := w.config(t, shedWorkload)
 				cfg.ProcessingDelay = delay
 				got, st := runCollectWith(t, cfg, func(p *Pipeline) {
 					for rest := w.events; len(rest) > 0; {
@@ -232,25 +356,35 @@ func TestSerialSubmitShapeEquivalence(t *testing.T) {
 // including the skewed (bursty) arrival flavor baked into makeWorkload
 // — for any divergence between the serial pipeline and a 4-shard
 // deployment, at full speed or with a small processing delay that lets
-// shard backlogs build and so steers placement.
+// shard backlogs build and so steers placement, under the workload's
+// own decider or one of the shared real shedders (kind).
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(uint64(1), uint16(300), false)
-	f.Add(uint64(7), uint16(900), true) // predicate geometry
-	f.Add(uint64(42), uint16(512), true)
-	f.Add(uint64(4), uint16(700), false) // predicate geometry
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, delay bool) {
+	f.Add(uint64(1), uint16(300), false, uint8(shedWorkload))
+	f.Add(uint64(7), uint16(900), true, uint8(shedWorkload)) // predicate geometry
+	f.Add(uint64(42), uint16(512), true, uint8(shedWorkload))
+	f.Add(uint64(4), uint16(700), false, uint8(shedWorkload)) // predicate geometry
+	f.Add(uint64(2), uint16(800), true, uint8(shedESPICE))
+	f.Add(uint64(7), uint16(600), false, uint8(shedESPICE))
+	f.Add(uint64(3), uint16(500), true, uint8(shedBL))
+	f.Add(uint64(5), uint16(400), false, uint8(shedRandom))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, delay bool, kind uint8) {
 		nEvents := int(n)%1000 + 50 // bound the per-input cost
+		k := int(kind) % numShedKinds
 		w := makeWorkload(seed, nEvents)
-		serial, _ := runCollect(t, w.config(), w.events)
-		cfg := w.config()
+		serial, sst := runCollect(t, w.config(t, k), w.events)
+		cfg := w.config(t, k)
 		cfg.Shards = 4
 		if delay {
 			cfg.ProcessingDelay = 5 * time.Microsecond
 		}
-		sharded, _ := runCollect(t, cfg, w.events)
+		sharded, st := runCollect(t, cfg, w.events)
 		if want, got := streamSignature(serial), streamSignature(sharded); got != want {
-			t.Fatalf("%s delay=%v: sharded stream differs from serial (%d vs %d complex events)",
-				w.label, delay, len(sharded), len(serial))
+			t.Fatalf("%s/%s delay=%v: sharded stream differs from serial (%d vs %d complex events)",
+				w.label, shedKindNames[k], delay, len(sharded), len(serial))
+		}
+		if st.Operator.MembershipsShed != sst.Operator.MembershipsShed {
+			t.Fatalf("%s/%s delay=%v: sharded run shed %d memberships, serial %d",
+				w.label, shedKindNames[k], delay, st.Operator.MembershipsShed, sst.Operator.MembershipsShed)
 		}
 	})
 }

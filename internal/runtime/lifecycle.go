@@ -14,7 +14,7 @@ import (
 // LifecycleConfig configures the online model lifecycle: instead of
 // handing the pipeline a frozen, offline-trained model, the caller hands
 // it a training policy. The pipeline then taps its own window closes to
-// train the utility model in flight, swaps it into every shedder once
+// train the utility model in flight, swaps it into the shedder once
 // warm, and — with Drift set — retrains and re-swaps when the input
 // distribution shifts away from the model.
 type LifecycleConfig struct {
@@ -68,7 +68,7 @@ func (c *LifecycleConfig) applyDefaults() {
 // LifecycleStats is a snapshot of the lifecycle counters.
 type LifecycleStats struct {
 	// Trained reports whether a trained model is currently published to
-	// the shedders.
+	// the shedder.
 	Trained bool
 	// Collecting reports whether the lifecycle is gathering statistics
 	// toward the next model (initial warm-up or post-alarm recollection).
@@ -76,7 +76,7 @@ type LifecycleStats struct {
 	// WindowsSampled counts closed windows forwarded to the trainer
 	// across all taps (lifetime).
 	WindowsSampled uint64
-	// Builds counts models built and swapped into the shedders (the
+	// Builds counts models built and swapped into the shedder (the
 	// initial training plus every retrain).
 	Builds uint64
 	// DriftAlarms counts drift-detector alarms acted upon.
@@ -93,14 +93,14 @@ type LifecycleStats struct {
 // Lifecycle supervises the online model lifecycle of one pipeline: its
 // taps accumulate per-shard training statistics without contention, and
 // its supervisor step merges them, builds models and swaps them into
-// every registered shedder in lockstep. Construct it through
+// the pipeline's shedder. Construct it through
 // runtime.Config.Lifecycle; tests may drive step directly.
 type Lifecycle struct {
 	cfg  LifecycleConfig
 	bcfg core.ModelBuilderConfig
 
-	shedders []*core.Shedder
-	taps     []*operator.FeedbackTap
+	shedder *core.Shedder
+	taps    []*operator.FeedbackTap
 
 	retrainReq atomic.Bool
 
@@ -115,33 +115,33 @@ type Lifecycle struct {
 }
 
 // newLifecycle validates the configuration and builds a supervisor over
-// the given shedders. spec resolves N when the config leaves it 0.
-func newLifecycle(cfg LifecycleConfig, shedders []*core.Shedder, spec window.Spec) (*Lifecycle, error) {
+// the given shedder. spec resolves N when the config leaves it 0.
+func newLifecycle(cfg LifecycleConfig, shedder *core.Shedder, spec window.Spec) (*Lifecycle, error) {
 	cfg.applyDefaults()
 	if cfg.Types <= 0 {
 		return nil, fmt.Errorf("runtime: LifecycleConfig.Types must be > 0, got %d", cfg.Types)
 	}
-	if len(shedders) == 0 {
-		return nil, fmt.Errorf("runtime: lifecycle needs at least one core.Shedder " +
-			"(set Operator.Shedder or ShardDeciders to shedders over an untrained model)")
+	if shedder == nil {
+		return nil, fmt.Errorf("runtime: lifecycle needs a core.Shedder " +
+			"(set Operator.Shedder to a shedder over an untrained model)")
 	}
 	n := cfg.N
 	if n == 0 {
 		n = SpecWindowSize(spec)
 	}
 	l := &Lifecycle{
-		cfg:      cfg,
-		bcfg:     core.ModelBuilderConfig{Types: cfg.Types, N: n, BinSize: cfg.BinSize},
-		shedders: shedders,
+		cfg:     cfg,
+		bcfg:    core.ModelBuilderConfig{Types: cfg.Types, N: n, BinSize: cfg.BinSize},
+		shedder: shedder,
 	}
 	// Validate the builder configuration once, up front.
 	if _, err := core.NewModelBuilder(l.bcfg); err != nil {
 		return nil, err
 	}
-	// A pre-trained starting model (the shedders were built over one)
-	// arms drift detection immediately; an untrained start collects
-	// toward the first model.
-	initial := shedders[0].Model()
+	// A pre-trained starting model (the shedder was built over one) arms
+	// drift detection immediately; an untrained start collects toward
+	// the first model.
+	initial := shedder.Model()
 	if initial != nil && initial.Trained() {
 		l.model = initial
 		if cfg.Drift != nil {
@@ -307,13 +307,8 @@ func (l *Lifecycle) step(now time.Time) bool {
 	if err != nil {
 		return false
 	}
-	for _, s := range l.shedders {
-		// SwapModel only fails when CDT derivation does; the shedders
-		// share the partitioning-bearing state they were configured
-		// with, so a failure here would repeat on every shedder.
-		if err := s.SwapModel(model); err != nil {
-			return false
-		}
+	if err := l.shedder.SwapModel(model); err != nil {
+		return false
 	}
 	l.model = model
 	l.lastSwap = now

@@ -278,10 +278,18 @@ func evalFP(t *testing.T, q queries.Query, model *core.Model, factor float64, ev
 // shift, recollect on post-shift traffic, and swap the retrained model
 // in. The retrained model must recover most of the quality (harness
 // false-positive metric) of a model freshly trained on the shifted
-// distribution, while the frozen phase-1 model does not.
+// distribution, while the frozen phase-1 model does not. The lifecycle
+// builds the offline trainer's table shape (its default bin size), so
+// retrained and fresh models compare like for like, and each phase is an
+// hour of play: at 15 minutes the eval holds 39 complex events, and the
+// frozen model's damage is within what the border coin moves.
 func TestLifecycleDriftRetrainRecovery(t *testing.T) {
 	harness.VerifyNoLeaks(t)
-	q, a, b := rtlsPhases(t, 900)
+	q, a, b := rtlsPhases(t, 3600)
+	fresh, err := harness.Train(q, b.train, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	um, err := core.NewUntrainedModel(q.NumTypes, q.Window.SizeHint, 0)
 	if err != nil {
@@ -293,10 +301,11 @@ func TestLifecycleDriftRetrainRecovery(t *testing.T) {
 	}
 	l, err := newLifecycle(LifecycleConfig{
 		Types:              q.NumTypes,
+		BinSize:            fresh.Model.UT().BinSize(),
 		WarmupWindows:      32,
 		MinRetrainInterval: time.Nanosecond,
 		Drift:              &core.DriftConfig{},
-	}, []*core.Shedder{shed}, q.Window)
+	}, shed, q.Window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +361,6 @@ func TestLifecycleDriftRetrainRecovery(t *testing.T) {
 	// Quality: on post-shift traffic, the retrained model must recover
 	// >= 90% of the FP-quality gap a fresh post-shift model closes over
 	// the frozen one.
-	fresh, err := harness.Train(q, b.train, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fpFrozen := evalFP(t, q, frozen, factor, b.eval)
 	fpRetrained := evalFP(t, q, retrained, factor, b.eval)
 	fpFresh := evalFP(t, q, fresh.Model, fresh.MembershipFactor, b.eval)
@@ -388,7 +393,7 @@ func TestLifecycleExplicitRetrainKeepsStats(t *testing.T) {
 		Types:              2,
 		WarmupWindows:      4,
 		MinRetrainInterval: time.Nanosecond,
-	}, []*core.Shedder{shed}, q.Window)
+	}, shed, q.Window)
 	if err != nil {
 		t.Fatal(err)
 	}

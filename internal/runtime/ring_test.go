@@ -19,13 +19,15 @@ import (
 // any shard, the standalone oracle — drops exactly the same ones.
 type seededDrop uint64
 
-func (s seededDrop) Drop(t event.Type, pos, ws int) bool {
+func (s seededDrop) DropCounted(_ window.ID, t event.Type, pos, ws int) (bool, bool) {
 	h := uint64(s) ^ uint64(t)*0x9e3779b97f4a7c15 ^ uint64(pos)*0xc2b2ae3d27d4eb4f ^ uint64(ws)*0x165667b19e3779f9
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return h%4 == 0
+	return h%4 == 0, true
 }
+
+func (seededDrop) TallyDecisions(uint64, uint64) {}
 
 // oracleEntries replays the workload through a standalone Manager whose
 // windows buffer their own kept events through Window.Add, the way the
@@ -47,9 +49,12 @@ func oracleEntries(t *testing.T, w propWorkload, dec operator.Decider) map[windo
 	for _, e := range w.events {
 		member, closed := mgr.Route(e)
 		for _, mb := range member {
-			if dec == nil || !dec.Drop(e.Type, mb.Pos, mb.W.ExpectedSize) {
-				mb.W.Add(e, mb.Pos)
+			if dec != nil {
+				if dropped, _ := dec.DropCounted(mb.W.ID, e.Type, mb.Pos, mb.W.ExpectedSize); dropped {
+					continue
+				}
 			}
+			mb.W.Add(e, mb.Pos)
 		}
 		collect(closed)
 	}
@@ -79,7 +84,7 @@ func TestRingEntriesMatchOracle(t *testing.T) {
 			for _, shards := range []int{1, 2, 4} {
 				var mu sync.Mutex
 				got := map[window.ID][]window.Entry{}
-				cfg := w.config()
+				cfg := w.config(t, shedWorkload)
 				cfg.Shards = shards
 				cfg.Operator.Shedder = dec
 				cfg.Operator.OnWindowClose = func(cw *window.Window, _ []window.Entry) {
@@ -126,7 +131,7 @@ func TestShardRingBounded(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	for _, seed := range []uint64{1, 6, 4} { // at 20000 events: time/slide, count/slide, predicate/close
 		w := makeWorkload(seed, 20000)
-		cfg := w.config()
+		cfg := w.config(t, shedWorkload)
 		cfg.Shards = 2
 		cfg.Operator.Shedder = seededDrop(seed)
 		p, err := New(cfg)

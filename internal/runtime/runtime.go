@@ -17,8 +17,10 @@
 // shard=N output equals shard=1 output while the per-membership
 // processing cost spreads across N cores. Serial or sharded, one control
 // loop (control.go) observes the input rate, the summed per-lane
-// throughput and the backlog in events, and commands all shedders in
-// lockstep.
+// throughput and the backlog in events, and commands the pipeline's one
+// shedder, which every shard shares: its decisions are pure functions of
+// (window, position, published state), so sharing it costs no lock and
+// changes no decision.
 //
 // The runtime mirrors the discrete-event simulator (internal/sim) on real
 // clocks and channels; the simulator is the reproducible instrument for
@@ -41,7 +43,8 @@ import (
 
 // Config assembles a live pipeline.
 type Config struct {
-	// Operator configuration (window, patterns, shedder decider).
+	// Operator configuration (window, patterns, shedder decider). With
+	// Shards > 1 every shard shares Operator.Shedder.
 	Operator operator.Config
 	// Detector and Controller enable load shedding; both nil disables it.
 	Detector   *core.OverloadDetector
@@ -84,11 +87,6 @@ type Config struct {
 	// shards — so a shared hook must synchronize its own state. Windows
 	// are recycled shard-locally right after the hook returns.
 	Shards int
-	// ShardDeciders optionally installs one shedder per shard; its length
-	// must equal Shards. When nil, every shard shares Operator.Shedder
-	// (safe for core.Shedder, whose state is swapped atomically). Ignored
-	// when Shards <= 1.
-	ShardDeciders []operator.Decider
 	// OnPanic, when non-nil, is called once — from the goroutine that
 	// panicked, right as the pipeline's failed flag trips — when a
 	// processing path panics (guard.go). The pipeline then drains
@@ -98,11 +96,11 @@ type Config struct {
 	OnPanic func(*PanicError)
 	// Lifecycle enables the online model lifecycle: the pipeline samples
 	// its own window closes into an in-flight model builder, builds the
-	// utility model once warm, and swaps it into every *core.Shedder
-	// found in Operator.Shedder / ShardDeciders in lockstep — retraining
-	// on drift alarms (Lifecycle.Drift) or explicit Retrain calls. The
-	// shedders may start over an untrained model (core.NewUntrainedModel)
-	// and come online once the first model is built.
+	// utility model once warm, and swaps it into the *core.Shedder in
+	// Operator.Shedder — retraining on drift alarms (Lifecycle.Drift) or
+	// explicit Retrain calls. The shedder may start over an untrained
+	// model (core.NewUntrainedModel) and come online once the first model
+	// is built.
 	Lifecycle *LifecycleConfig
 }
 
@@ -193,20 +191,6 @@ type ShardStats struct {
 	// Throughput is the detector's unshed-capacity estimate for this
 	// shard in events per second.
 	Throughput float64
-}
-
-// MultiController fans every detector decision out to several
-// controllers, letting the single aggregate overload detector command
-// per-shard shedders in lockstep.
-type MultiController []sim.Controller
-
-// OnDecision implements sim.Controller.
-func (m MultiController) OnDecision(dec core.Decision) {
-	for _, c := range m {
-		if c != nil {
-			c.OnDecision(dec)
-		}
-	}
 }
 
 // Pipeline is a running eSPICE-enabled CEP operator.
@@ -307,9 +291,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	if n := len(cfg.ShardDeciders); n > 0 && n != cfg.Shards {
-		return nil, fmt.Errorf("runtime: ShardDeciders has %d entries for %d shards", n, cfg.Shards)
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 10 * time.Millisecond
 	}
@@ -323,25 +304,9 @@ func New(cfg Config) (*Pipeline, error) {
 	// operator or each shard, gets a feedback tap of its own (newTap).
 	var lc *Lifecycle
 	if cfg.Lifecycle != nil {
-		var shedders []*core.Shedder
-		addShedder := func(d operator.Decider) {
-			s, ok := d.(*core.Shedder)
-			if !ok {
-				return
-			}
-			for _, have := range shedders {
-				if have == s {
-					return
-				}
-			}
-			shedders = append(shedders, s)
-		}
-		addShedder(cfg.Operator.Shedder)
-		for _, d := range cfg.ShardDeciders {
-			addShedder(d)
-		}
+		shedder, _ := cfg.Operator.Shedder.(*core.Shedder)
 		var err error
-		lc, err = newLifecycle(*cfg.Lifecycle, shedders, cfg.Operator.Window)
+		lc, err = newLifecycle(*cfg.Lifecycle, shedder, cfg.Operator.Window)
 		if err != nil {
 			return nil, err
 		}
@@ -378,11 +343,7 @@ func New(cfg Config) (*Pipeline, error) {
 	// events.
 	batchCap := max(cfg.QueueCap/cfg.Shards/opsFlushBatch, 8)
 	for i := 0; i < cfg.Shards; i++ {
-		ocfg := cfg.Operator
-		if len(cfg.ShardDeciders) > 0 {
-			ocfg.Shedder = cfg.ShardDeciders[i]
-		}
-		own, err := operator.NewOwner(ocfg)
+		own, err := operator.NewOwner(cfg.Operator)
 		if err != nil {
 			return nil, err
 		}

@@ -160,43 +160,54 @@ func trainedTestModel(t *testing.T) *core.Model {
 // TestEstimateRatesWithoutDetector checks that EstimateRates keeps the
 // rate/throughput estimators alive with no detector attached, on both
 // the serial and the sharded path — the multi-query engine's global
-// budget reads these estimates from outside the pipeline.
+// budget reads these estimates from outside the pipeline. The estimates
+// come from one control tick over stored counters, as in
+// TestBacklogEvents; a short live run shows the loop starts without a
+// Detector.
 func TestEstimateRatesWithoutDetector(t *testing.T) {
 	harness.VerifyNoLeaks(t)
 	for _, shards := range []int{1, 2} {
-		p, err := New(Config{
-			Operator:        opConfig(nil),
-			EstimateRates:   true,
-			Shards:          shards,
-			PollInterval:    2 * time.Millisecond,
-			ProcessingDelay: 20 * time.Microsecond,
-		})
+		p, err := New(Config{Operator: opConfig(nil), EstimateRates: true, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan error, 1)
-		go func() { done <- p.Run(context.Background()) }()
-		go func() {
-			for range p.Out() {
-			}
-		}()
-		for i := 0; i < 4000; i++ {
-			p.Submit(event.Event{Seq: uint64(i), TS: event.Time(i), Type: event.Type(i % 2)})
-			if i%100 == 0 {
-				time.Sleep(time.Millisecond)
-			}
+		p.submitted.Store(4000)
+		p.processed.Store(4000)
+		for _, l := range p.lanes {
+			l.memberships.Store(4000 / uint64(shards))
+			l.kept.Store(4000 / uint64(shards))
+			l.busyNanos.Store(int64(10 * time.Millisecond))
 		}
+		start := time.Now()
+		newControl(p, start).tick(start.Add(time.Second))
 		st := p.Stats()
-		p.CloseInput()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 		if st.InputRate <= 0 {
 			t.Errorf("shards=%d: InputRate not estimated: %+v", shards, st)
 		}
 		if st.Throughput <= 0 {
 			t.Errorf("shards=%d: Throughput not estimated: %+v", shards, st)
 		}
+	}
+
+	p, err := New(Config{Operator: opConfig(nil), EstimateRates: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Run(context.Background()) }()
+	go func() {
+		for range p.Out() {
+		}
+	}()
+	p.SubmitBatch(deterministicStream(1000))
+	for deadline := time.Now().Add(5 * time.Second); p.Stats().InputRate <= 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("live control loop never estimated the input rate without a Detector")
+		}
+	}
+	p.CloseInput()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

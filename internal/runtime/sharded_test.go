@@ -235,10 +235,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative QueueCap", Config{Operator: opConfig(nil), QueueCap: -1}},
 		{"negative OutBuffer", Config{Operator: opConfig(nil), OutBuffer: -5}},
 		{"negative Shards", Config{Operator: opConfig(nil), Shards: -2}},
-		{"decider count mismatch", Config{
-			Operator: opConfig(nil), Shards: 2,
-			ShardDeciders: []operator.Decider{nil, nil, nil},
-		}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {

@@ -131,13 +131,15 @@ type fracShedder struct {
 	active   bool
 }
 
-func (f *fracShedder) Drop(event.Type, int, int) bool {
+func (f *fracShedder) DropCounted(window.ID, event.Type, int, int) (bool, bool) {
 	if !f.active {
-		return false
+		return false, false
 	}
 	f.count++
-	return f.count%f.den < f.num
+	return f.count%f.den < f.num, true
 }
+
+func (f *fracShedder) TallyDecisions(uint64, uint64) {}
 
 // fracController activates the shedder on overload decisions.
 type fracController struct{ s *fracShedder }
