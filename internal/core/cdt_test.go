@@ -100,20 +100,6 @@ func TestComputePartitioning(t *testing.T) {
 	}
 }
 
-func TestPartitionOf(t *testing.T) {
-	p := Partitioning{Rho: 4, PSize: 175, WS: 700}
-	tests := []struct{ pos, want int }{
-		{0, 0}, {174, 0}, {175, 1}, {349, 1}, {350, 2}, {699, 3},
-		{-3, 0},   // clamped
-		{9999, 3}, // clamped
-	}
-	for _, tt := range tests {
-		if got := p.PartitionOf(tt.pos); got != tt.want {
-			t.Errorf("PartitionOf(%d) = %d, want %d", tt.pos, got, tt.want)
-		}
-	}
-}
-
 func TestBuildCDTValidation(t *testing.T) {
 	if _, err := BuildCDT(nil, Partitioning{Rho: 1}); err == nil {
 		t.Error("nil model must fail")
@@ -249,16 +235,4 @@ func TestThresholdMinimalityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-// PartitionOf maps a window position to its partition index.
-func (p Partitioning) PartitionOf(pos int) int {
-	if pos < 0 || p.PSize <= 0 {
-		return 0
-	}
-	part := pos / p.PSize
-	if part >= p.Rho {
-		part = p.Rho - 1
-	}
-	return part
 }

@@ -54,17 +54,6 @@ func TestQMax(t *testing.T) {
 	}
 }
 
-func TestEstimatedLatency(t *testing.T) {
-	d := mustDetector(t, event.Second, 0.8)
-	// l(e) = n * l(p); 100 events at 1000 ev/s = 100 ms.
-	if got := d.EstimatedLatency(100, 1000); got != 100*event.Millisecond {
-		t.Errorf("EstimatedLatency = %v", got)
-	}
-	if got := d.EstimatedLatency(5, 0); got != 0 {
-		t.Errorf("zero throughput latency = %v", got)
-	}
-}
-
 func TestEvaluateBelowTrigger(t *testing.T) {
 	d := mustDetector(t, event.Second, 0.8)
 	// qmax = 1000, trigger = 800; qsize 700 -> no shedding.
@@ -202,14 +191,4 @@ func TestPartitionSizeWithinBufferProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-}
-
-// EstimatedLatency returns l(e) for an event at queue position n given
-// the operator throughput: l(e) = n * l(p).
-func (d *OverloadDetector) EstimatedLatency(queuePos int, throughput float64) event.Time {
-	if throughput <= 0 {
-		return 0
-	}
-	sec := float64(queuePos) / throughput
-	return event.Time(sec * float64(event.Second))
 }

@@ -124,34 +124,6 @@ func TestModelBuilderMergeConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestModelBuilderSnapshot: a snapshot is an independent copy — later
-// observations into the source do not leak into it.
-func TestModelBuilderSnapshot(t *testing.T) {
-	src, err := NewModelBuilder(ModelBuilderConfig{Types: 2, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	observeStream(t, src, 4, 10, 1)
-	snap := src.Snapshot()
-	observeStream(t, src, 4, 10, 1)
-	if snap.WindowsSeen() != 10 || src.WindowsSeen() != 20 {
-		t.Fatalf("snapshot %d / source %d windows", snap.WindowsSeen(), src.WindowsSeen())
-	}
-	snapModel, err := snap.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapModel.Windows() != 10 {
-		t.Errorf("snapshot model trained on %d windows, want 10", snapModel.Windows())
-	}
-	// Source reset leaves the snapshot intact (deferred-mode buffers are
-	// structurally shared but immutable).
-	src.Reset()
-	if snap.WindowsSeen() != 10 {
-		t.Error("source Reset disturbed the snapshot")
-	}
-}
-
 func TestNewUntrainedModel(t *testing.T) {
 	m, err := NewUntrainedModel(3, 8, 2)
 	if err != nil {
@@ -170,29 +142,4 @@ func TestNewUntrainedModel(t *testing.T) {
 	if _, err := NewUntrainedModel(0, 8, 1); err == nil {
 		t.Error("Types=0 must fail")
 	}
-}
-
-// Snapshot returns an independent copy of the builder's current
-// statistics: cheap — proportional to the table size, not to the windows
-// observed — so a supervisor can capture a shard's state while the shard
-// keeps accumulating. Buffered windows (deferred mode) are shared
-// structurally; they are immutable once observed.
-func (b *ModelBuilder) Snapshot() *ModelBuilder {
-	cp := &ModelBuilder{
-		cfg:         b.cfg,
-		windows:     b.windows,
-		matchesSeen: b.matchesSeen,
-		sizeSum:     b.sizeSum,
-		deferred:    b.deferred,
-	}
-	if b.matchCounts != nil {
-		cp.matchCounts = append([]float64(nil), b.matchCounts...)
-		cp.posCounts = append([]float64(nil), b.posCounts...)
-	}
-	if b.deferred {
-		cp.bufWindows = append([][]window.Entry(nil), b.bufWindows...)
-		cp.bufSizes = append([]int(nil), b.bufSizes...)
-		cp.bufMatchIdx = append([][]int(nil), b.bufMatchIdx...)
-	}
-	return cp
 }

@@ -63,6 +63,22 @@ type ModelBuilderConfig struct {
 	BinSize int
 }
 
+// defaultBins is the target number of utility-table position bins when
+// the caller does not fix a bin size: fine enough to resolve the
+// positional correlations, coarse enough that moderate training volumes
+// populate every relevant bin.
+const defaultBins = 128
+
+// DefaultBinSize is the bin size offline training and the online
+// lifecycle both use for an N-position table when none is given:
+// ceil(N/defaultBins), or 0 (no binning) while N is still unknown.
+func DefaultBinSize(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n + defaultBins - 1) / defaultBins
+}
+
 // ModelBuilder accumulates statistics from processed windows and the
 // complex events detected in them (Section 3.3: "we collect statistics,
 // from the already detected complex events, on the types and relative

@@ -95,8 +95,13 @@ func TestModelBuildingBasic(t *testing.T) {
 			}
 		}
 	}
-	if got := m.ExpectedEventsPerWindow(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("ExpectedEventsPerWindow = %v, want 4", got)
+	// The shares sum to the average window size.
+	total := 0.0
+	for _, s := range m.shares {
+		total += s
+	}
+	if math.Abs(total-4) > 1e-12 {
+		t.Errorf("shares sum to %v, want 4", total)
 	}
 }
 
@@ -267,14 +272,4 @@ func TestNewModelFromTableValidation(t *testing.T) {
 	if m.Share(5, 0) != 0 || m.Share(0, 9) != 0 {
 		t.Error("OOB Share must be 0")
 	}
-}
-
-// ExpectedEventsPerWindow sums the position shares: the average window
-// size as seen in UT coordinates.
-func (m *Model) ExpectedEventsPerWindow() float64 {
-	total := 0.0
-	for _, s := range m.shares {
-		total += s
-	}
-	return total
 }

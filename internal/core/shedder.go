@@ -218,8 +218,11 @@ func (s *Shedder) Deactivate() {
 }
 
 // Drop decides as window 0 (see DropCounted) and updates the
-// observability counters with two atomic adds per call; the operator's
-// hot loop uses DropCounted + TallyDecisions instead.
+// observability counters with two atomic adds per call. It is kept only
+// to time one decision in benchmarks/e2e: every call at the same
+// position draws the same coin, so Drop does not thin at-threshold
+// events across calls. Callers that shed use DropCounted with the
+// window ID, plus TallyDecisions.
 func (s *Shedder) Drop(t event.Type, pos, ws int) bool {
 	drop, counted := s.DropCounted(0, t, pos, ws)
 	if counted {

@@ -106,15 +106,9 @@ type TrainResult struct {
 	Windows, Matches int
 }
 
-// defaultBins is the target number of utility-table position bins when
-// the caller does not fix a bin size: fine enough to resolve the
-// positional correlations, coarse enough that moderate training volumes
-// populate every relevant bin.
-const defaultBins = 128
-
 // tableDims resolves the utility-table dimensions for a query: N comes
 // from the count-window size or the time-window size hint when not given;
-// the bin size defaults to ceil(N/defaultBins).
+// the bin size defaults to core.DefaultBinSize(N).
 func tableDims(q queries.Query, n, binSize int) (int, int) {
 	if n == 0 {
 		if q.Window.Mode == window.ModeCount {
@@ -123,8 +117,8 @@ func tableDims(q queries.Query, n, binSize int) (int, int) {
 			n = q.Window.SizeHint
 		}
 	}
-	if binSize == 0 && n > 0 {
-		binSize = (n + defaultBins - 1) / defaultBins
+	if binSize == 0 {
+		binSize = core.DefaultBinSize(n)
 	}
 	return n, binSize
 }

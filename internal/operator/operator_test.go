@@ -172,34 +172,6 @@ func TestSheddingChangesOutcome(t *testing.T) {
 	}
 }
 
-// SetShedder replaces the operator's decider mid-stream, tallying the
-// previous one's pending decisions first.
-func (o *Operator) SetShedder(d Decider) {
-	o.own.Tally()
-	o.own.shedder = d
-}
-
-func TestSetShedder(t *testing.T) {
-	op, err := New(Config{Window: tumbling(2), Patterns: []*pattern.Compiled{seqAB(t)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op.SetShedder(dropEven{})
-	for _, e := range stream(typeA, typeB) {
-		op.Process(e)
-	}
-	if op.Stats().MembershipsShed != 1 {
-		t.Errorf("shed = %d, want 1", op.Stats().MembershipsShed)
-	}
-	op.SetShedder(nil)
-	for _, e := range stream(typeA, typeB) {
-		op.Process(e)
-	}
-	if op.Stats().MembershipsShed != 1 {
-		t.Error("nil shedder must stop shedding")
-	}
-}
-
 func TestOnWindowCloseHook(t *testing.T) {
 	var hookWindows int
 	var hookMatched [][]window.Entry

@@ -26,8 +26,9 @@ type LifecycleConfig struct {
 	// is set the builder defers sizing to the average observed window
 	// size at build time.
 	N int
-	// BinSize aggregates neighboring positions per table cell (0/1 =
-	// off), exactly as in offline training.
+	// BinSize aggregates neighboring positions per table cell, exactly as
+	// in offline training: 0 resolves to core.DefaultBinSize(N), 1 is
+	// off.
 	BinSize int
 	// SampleEvery feeds every k-th closed window to the trainer and the
 	// drift detector; 0 or 1 samples every close. Larger values bound
@@ -129,9 +130,13 @@ func newLifecycle(cfg LifecycleConfig, shedder *core.Shedder, spec window.Spec) 
 	if n == 0 {
 		n = SpecWindowSize(spec)
 	}
+	bs := cfg.BinSize
+	if bs == 0 {
+		bs = core.DefaultBinSize(n)
+	}
 	l := &Lifecycle{
 		cfg:     cfg,
-		bcfg:    core.ModelBuilderConfig{Types: cfg.Types, N: n, BinSize: cfg.BinSize},
+		bcfg:    core.ModelBuilderConfig{Types: cfg.Types, N: n, BinSize: bs},
 		shedder: shedder,
 	}
 	// Validate the builder configuration once, up front.
