@@ -128,7 +128,8 @@ func BenchmarkAblationShedders(b *testing.B)     { benchFigure(b, harness.Ablati
 
 // BenchmarkAblationExactVsAtLeast contrasts exact-amount dropping with
 // the literal Algorithm 2 (drop at least x): the at-least variant drops
-// every event at or below the threshold.
+// every event at or below the threshold. Each iteration decides one
+// whole window, so drop% does not depend on b.N.
 func BenchmarkAblationExactVsAtLeast(b *testing.B) {
 	m := syntheticModel(b, 500, 2000)
 	part := core.ComputePartitioning(2000, 1000, 0.8)
@@ -149,11 +150,13 @@ func BenchmarkAblationExactVsAtLeast(b *testing.B) {
 			drops := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if s.Drop(event.Type(i%500), i%2000, 2000) {
-					drops++
+				for pos := 0; pos < 2000; pos++ {
+					if drop, _ := s.DropCounted(window.ID(i), event.Type(pos%500), pos, 2000); drop {
+						drops++
+					}
 				}
 			}
-			b.ReportMetric(float64(drops)/float64(b.N)*100, "drop%")
+			b.ReportMetric(float64(drops)/float64(b.N*2000)*100, "drop%")
 		})
 	}
 }
@@ -367,53 +370,45 @@ func BenchmarkPipelineSerial(b *testing.B) {
 // no channels, no goroutines: route into 8 overlapping count windows,
 // shed (in the shed variant), buffer, and match seq(A;B) on every window
 // close. This is the per-event cost the load shedder's O(1) budget is
-// measured against; allocs/op should be ~0 in steady state.
+// measured against; allocs/op should be ~0 in steady state. The
+// inactive variant installs a trained shedder that was never
+// configured, as the engine does for queries that are not overloaded:
+// it should read as noshed, not as shed.
 func BenchmarkOperatorProcess(b *testing.B) {
-	mkEvents := func() []Event {
-		events := make([]Event, 4096)
-		for i := range events {
-			events[i] = Event{Seq: uint64(i), TS: Time(i), Type: Type(i % 4)}
-		}
-		return events
+	events := make([]Event, 4096)
+	for i := range events {
+		events[i] = Event{Seq: uint64(i), TS: Time(i), Type: Type(i % 4)}
 	}
-	b.Run("noshed", func(b *testing.B) {
+	run := func(b *testing.B, shedder ShedDecider) {
 		op, err := NewOperator(OperatorConfig{
 			Window:   WindowSpec{Mode: ModeCount, Count: 128, Slide: 16},
 			Patterns: []*CompiledPattern{mustCompileSeqAB(b)},
+			Shedder:  shedder,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		events := mkEvents()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op.Process(events[i%len(events)])
 		}
-	})
-	b.Run("shed", func(b *testing.B) {
-		m := syntheticModel(b, 4, 128)
-		s, err := core.NewShedder(m)
+	}
+	shedder := func(b *testing.B) *core.Shedder {
+		s, err := core.NewShedder(syntheticModel(b, 4, 128))
 		if err != nil {
 			b.Fatal(err)
 		}
+		return s
+	}
+	b.Run("noshed", func(b *testing.B) { run(b, nil) })
+	b.Run("inactive", func(b *testing.B) { run(b, shedder(b)) })
+	b.Run("shed", func(b *testing.B) {
+		s := shedder(b)
 		if err := s.Configure(core.ComputePartitioning(128, 64, 0.8), 4); err != nil {
 			b.Fatal(err)
 		}
-		op, err := NewOperator(OperatorConfig{
-			Window:   WindowSpec{Mode: ModeCount, Count: 128, Slide: 16},
-			Patterns: []*CompiledPattern{mustCompileSeqAB(b)},
-			Shedder:  s,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events := mkEvents()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op.Process(events[i%len(events)])
-		}
+		run(b, s)
 	})
 }
 

@@ -1,7 +1,8 @@
 // Package operator implements the CEP operator of Figure 1 in the eSPICE
 // paper: it consumes primitive events in stream order, routes them into
-// windows, applies the load shedder to every (event, window) membership,
-// runs the pattern matcher when windows close, and emits complex events.
+// windows, applies the load shedder, while it is active, to every
+// (event, window) membership, runs the pattern matcher when windows
+// close, and emits complex events.
 //
 // The operator treats the matcher as a black box exactly as the paper
 // assumes: the load shedder interacts with it only through the detected
@@ -17,14 +18,20 @@ import (
 	"repro/internal/window"
 )
 
-// Decider is the shedding decision interface: called once per
-// (event, window) membership with the window's ID, the event type, the
-// event's position in that window, and the window's (predicted) size.
+// Decider is the shedding decision interface. While it is Active, it is
+// called once per (event, window) membership with the window's ID, the
+// event type, the event's position in that window, and the window's
+// (predicted) size; while it is inactive, an Owner keeps every
+// membership without asking, so an unshed event costs O(1) per owner.
 // A decision must be O(1), since it sits on the hot path, and a pure
 // function of those coordinates and the decider's published state: all
 // shards of a pipeline share one decider, and serial and sharded runs
 // must decide alike.
 type Decider interface {
+	// Active reports whether shedding is enabled. An Owner reads it once
+	// per event and, while it is false, asks nothing else: an inactive
+	// decider keeps every membership.
+	Active() bool
 	// DropCounted returns the drop decision and whether the call counts
 	// as a decision (shedding active).
 	DropCounted(win window.ID, t event.Type, pos, ws int) (drop, counted bool)
@@ -154,17 +161,23 @@ func (o *Owner) Windows() *window.Owner { return &o.win }
 // one routed.
 func (o *Owner) Open(r window.Rec) { o.win.Open(r) }
 
-// Route gives e a position in every open window and makes the shedding
-// decision for each of those memberships, returning how many were kept:
-// e is stored once, in the ring, and a dropped membership sets a bit.
+// Route gives e a position in every open window and returns how many of
+// those memberships were kept: e is stored once, in the ring. Without an
+// active decider every membership is kept and no window is touched;
+// otherwise each membership gets its shedding decision and a dropped
+// one sets a bit.
 func (o *Owner) Route(e event.Event) (kept int) {
 	open := o.win.Push(e)
-	for _, w := range open {
-		pos := w.Arrivals - 1
-		if o.shed(w.ID, e.Type, pos, w.ExpectedSize) {
-			w.Drop(pos)
-		} else {
-			kept++
+	if o.shedder == nil || !o.shedder.Active() {
+		kept = len(open)
+	} else {
+		for _, w := range open {
+			pos := o.win.Pos(w)
+			if o.shed(w.ID, e.Type, pos, w.ExpectedSize) {
+				w.Drop(pos)
+			} else {
+				kept++
+			}
 		}
 	}
 	o.stats.Memberships += uint64(len(open))
@@ -175,9 +188,6 @@ func (o *Owner) Route(e event.Event) (kept int) {
 
 // shed is the membership shedding decision, counted for a later Tally.
 func (o *Owner) shed(win window.ID, t event.Type, pos, ws int) bool {
-	if o.shedder == nil {
-		return false
-	}
 	dropped, counted := o.shedder.DropCounted(win, t, pos, ws)
 	if counted {
 		o.decisions++

@@ -149,6 +149,14 @@ func (dropEven) DropCounted(_ window.ID, _ event.Type, pos, _ int) (bool, bool) 
 
 func (dropEven) TallyDecisions(uint64, uint64) {}
 
+func (dropEven) Active() bool { return true }
+
+// idleDecider is installed but never active, like an unconfigured
+// shedder.
+type idleDecider struct{ dropEven }
+
+func (idleDecider) Active() bool { return false }
+
 func TestSheddingChangesOutcome(t *testing.T) {
 	op, err := New(Config{
 		Window:   tumbling(4),
@@ -285,7 +293,7 @@ func TestRingBounded(t *testing.T) {
 			op.Process(event.Event{Seq: uint64(i), TS: ts, Type: event.Type(rng.Intn(3))})
 			arrivals := 0
 			if w := win.Oldest(); w != nil {
-				arrivals = w.Arrivals
+				arrivals = int(win.Ring().End() - w.Start)
 			}
 			if bound := arrivals + max(arrivals, window.RingSlack); win.Ring().Len() > bound {
 				t.Fatalf("%v: after event %d the ring holds %d events, bound %d", spec.Mode, i, win.Ring().Len(), bound)
@@ -336,6 +344,8 @@ func (d *countingDecider) DropCounted(_ window.ID, t event.Type, pos, ws int) (b
 	return pos%2 == 0, true
 }
 
+func (*countingDecider) Active() bool { return true }
+
 func (d *countingDecider) TallyDecisions(decisions, drops uint64) {
 	d.tallyCalls++
 	d.decisions += decisions
@@ -377,35 +387,44 @@ func TestBatchedDeciderTallies(t *testing.T) {
 // window pool and matcher scratch, processing an event — including the
 // window open/close edges crossed on the way — allocates nothing as long
 // as no complex event is emitted (emitted events escape to the caller
-// and intrinsically cost their constituent slice).
+// and intrinsically cost their constituent slice), without a decider,
+// with an inactive one (the unshed path) and with one dropping every
+// even position (the drop bitmask and kept-position index).
 func TestProcessSteadyStateZeroAlloc(t *testing.T) {
 	noMatch := pattern.MustCompile(pattern.Pattern{
 		Name:  "never",
 		Steps: []pattern.Step{{Types: []event.Type{typeX}}, {Types: []event.Type{typeX}}},
 	})
-	op, err := New(Config{
-		Window:   window.Spec{Mode: window.ModeCount, Count: 64, Slide: 8},
-		Patterns: []*pattern.Compiled{noMatch},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := stream(typeA, typeB, typeA, typeB)
-	seq := uint64(0)
-	step := func() {
-		e := events[seq%uint64(len(events))]
-		e.Seq = seq
-		e.TS = event.Time(seq)
-		seq++
-		op.Process(e)
-	}
-	for i := 0; i < 2048; i++ { // warm pool, buffers and scratch
-		step()
-	}
-	if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
-		t.Errorf("steady-state Process allocates %.3f/event, want 0", allocs)
-	}
-	if st := op.Stats(); st.WindowsClosed == 0 {
-		t.Fatalf("measurement crossed no window edges: %+v", st)
+	for _, dec := range []Decider{nil, idleDecider{}, dropEven{}} {
+		op, err := New(Config{
+			Window:   window.Spec{Mode: window.ModeCount, Count: 64, Slide: 8},
+			Patterns: []*pattern.Compiled{noMatch},
+			Shedder:  dec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := stream(typeA, typeB, typeA, typeB)
+		seq := uint64(0)
+		step := func() {
+			e := events[seq%uint64(len(events))]
+			e.Seq = seq
+			e.TS = event.Time(seq)
+			seq++
+			op.Process(e)
+		}
+		for i := 0; i < 2048; i++ { // warm pool, buffers and scratch
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Errorf("decider %T: steady-state Process allocates %.3f/event, want 0", dec, allocs)
+		}
+		st := op.Stats()
+		if st.WindowsClosed == 0 {
+			t.Fatalf("decider %T: measurement crossed no window edges: %+v", dec, st)
+		}
+		if shedding := dec != nil && dec.Active(); shedding != (st.MembershipsShed > 0) {
+			t.Fatalf("decider %T: shed %d memberships", dec, st.MembershipsShed)
+		}
 	}
 }

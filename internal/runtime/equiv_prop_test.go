@@ -28,6 +28,8 @@ func (f dropFunc) DropCounted(_ window.ID, t event.Type, pos, ws int) (bool, boo
 
 func (dropFunc) TallyDecisions(uint64, uint64) {}
 
+func (dropFunc) Active() bool { return true }
+
 // The shedders the equivalence suites run a workload under: the
 // workload's own choice (dropFunc or none), then the paper's shedder and
 // its two baselines, each held at a fixed drop amount.

@@ -29,6 +29,8 @@ func (s seededDrop) DropCounted(_ window.ID, t event.Type, pos, ws int) (bool, b
 
 func (seededDrop) TallyDecisions(uint64, uint64) {}
 
+func (seededDrop) Active() bool { return true }
+
 // oracleEntries replays the workload through a standalone Manager whose
 // windows buffer their own kept events through Window.Add, the way the
 // isolated benchmark passes drive them, and returns every closed
@@ -117,7 +119,7 @@ func TestRingEntriesMatchOracle(t *testing.T) {
 func ringBounded(r *window.Ring, oldest *window.Window) (held, bound int, ok bool) {
 	arrivals := 0
 	if oldest != nil {
-		arrivals = oldest.Arrivals
+		arrivals = int(r.End() - oldest.Start)
 	}
 	bound = arrivals + max(arrivals, window.RingSlack)
 	return r.Len(), bound, r.Len() <= bound
@@ -170,5 +172,173 @@ func TestShardRingBounded(t *testing.T) {
 					w.label, i, live)
 			}
 		}
+	}
+}
+
+// toggleDecider is switched on and off between chunks of a stream by a
+// test that drives every owner on its own goroutine. While on it drops
+// like the shedding workloads' dropFunc; it counts the decisions it is
+// asked for while off, which an owner must never ask for.
+type toggleDecider struct {
+	on       bool
+	offCalls int
+}
+
+func (d *toggleDecider) Active() bool { return d.on }
+
+func (d *toggleDecider) DropCounted(_ window.ID, t event.Type, pos, _ int) (bool, bool) {
+	if !d.on {
+		d.offCalls++
+		return false, false
+	}
+	return (int(t)+pos)%3 == 0, true
+}
+
+func (*toggleDecider) TallyDecisions(uint64, uint64) {}
+
+// policyArrivals replays the workload through a bare window.Policy and
+// returns the Arrivals it reports for every close, by window ID.
+func policyArrivals(t *testing.T, w propWorkload) map[window.ID]int {
+	t.Helper()
+	p, err := window.NewPolicy(w.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[window.ID]int{}
+	record := func(recs []window.Rec) {
+		for _, r := range recs {
+			got[r.ID] = r.Arrivals
+		}
+	}
+	for _, e := range w.events {
+		st := p.Step(e)
+		record(st.Before)
+		record(st.After)
+	}
+	record(p.Flush())
+	return got
+}
+
+// inlineOwners drives cfg's owners on the calling goroutine: the serial
+// operator (shards == 1) or a sharded pipeline whose shards drain their
+// batches after every routed chunk. It returns the chunk router, the
+// owners' summed counters, and the end-of-stream flush.
+func inlineOwners(t *testing.T, cfg Config, shards int) (route func([]event.Event), stats func() operator.Stats, finish func()) {
+	t.Helper()
+	if shards == 1 {
+		op, err := operator.New(cfg.Operator)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last event.Time
+		route = func(evs []event.Event) {
+			for _, e := range evs {
+				op.Process(e)
+				last = e.TS
+			}
+		}
+		return route, op.Stats, func() { op.Flush(last) }
+	}
+	cfg.Shards = shards
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merger := parallel.NewEpochMerger(4*len(p.shards), func([]operator.ComplexEvent) {})
+	for _, s := range p.shards {
+		s.merger = merger
+	}
+	drain := func() {
+		for _, s := range p.shards {
+			for drained := false; !drained; {
+				select {
+				case b, ok := <-s.in:
+					if drained = !ok; ok {
+						s.processBatch(b)
+					}
+				default:
+					drained = true
+				}
+			}
+		}
+	}
+	route = func(evs []event.Event) {
+		p.SubmitBatch(evs)
+		drain()
+	}
+	stats = func() (sum operator.Stats) {
+		for _, s := range p.shards {
+			st := s.own.Stats()
+			sum.Memberships += st.Memberships
+			sum.MembershipsKept += st.MembershipsKept
+			sum.MembershipsShed += st.MembershipsShed
+		}
+		return sum
+	}
+	finish = func() {
+		p.CloseInput()
+		drain()
+		merger.Close()
+	}
+	return route, stats, finish
+}
+
+// TestInactiveDeciderFastPath pins the unshed path: an owner asks an
+// inactive decider for no decision and counts every membership as kept,
+// and a window's positions stay the Policy's whichever path routed
+// them. Over the three equivalence geometries, serial and at Shards 2,
+// with the decider switched on and off every chunk of the stream,
+// DropCounted is never called while it is off, those chunks shed
+// nothing, and every closed window's Size equals the Rec.Arrivals the
+// Policy reports for that close.
+func TestInactiveDeciderFastPath(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const chunk = 250
+	geometries := map[string]bool{}
+	for _, seed := range []uint64{1, 6, 4} { // time/slide, count/slide, predicate/close
+		w := makeWorkload(seed, 4000)
+		geometry := w.spec.Mode.String()
+		if w.spec.Close != nil {
+			geometry += "/close"
+		}
+		geometries[geometry] = true
+		want := policyArrivals(t, w)
+		for _, shards := range []int{1, 2} {
+			dec := &toggleDecider{}
+			sizes := map[window.ID]int{}
+			cfg := w.config(t, shedWorkload)
+			cfg.Operator.Shedder = dec
+			cfg.Operator.OnWindowClose = func(cw *window.Window, _ []window.Entry) { sizes[cw.ID] = cw.Size() }
+			route, stats, finish := inlineOwners(t, cfg, shards)
+			var offMembers, onShed uint64
+			for i := 0; i < len(w.events); i += chunk {
+				dec.on = (i/chunk)%2 == 1
+				before := stats()
+				route(w.events[i:min(i+chunk, len(w.events))])
+				after := stats()
+				if !dec.on {
+					members := after.Memberships - before.Memberships
+					if kept := after.MembershipsKept - before.MembershipsKept; kept != members {
+						t.Fatalf("%s shards=%d: inactive chunk at %d kept %d of %d memberships", w.label, shards, i, kept, members)
+					}
+					offMembers += members
+				} else {
+					onShed += after.MembershipsShed - before.MembershipsShed
+				}
+			}
+			finish()
+			if dec.offCalls != 0 {
+				t.Errorf("%s shards=%d: %d decisions asked of an inactive decider", w.label, shards, dec.offCalls)
+			}
+			if offMembers == 0 || onShed == 0 {
+				t.Fatalf("%s shards=%d: %d memberships while off, %d shed while on; want both > 0", w.label, shards, offMembers, onShed)
+			}
+			if !reflect.DeepEqual(sizes, want) {
+				t.Errorf("%s shards=%d: closed sizes differ from the Policy's arrivals:\n got %v\nwant %v", w.label, shards, sizes, want)
+			}
+		}
+	}
+	if len(geometries) != 3 {
+		t.Errorf("seeds drew geometries %v, want all three", geometries)
 	}
 }

@@ -376,61 +376,73 @@ var pauseSink atomic.Int64
 // replay, matching and the epoch merge. AllocsPerRun counts the whole
 // process, so the processing goroutines are covered too; the stream
 // matches nothing (complex events escape and do allocate) and latency
-// sampling is strided out (the trace grows by design).
+// sampling is strided out (the trace grows by design). Each shape runs
+// without a decider, with an inactive one (the unshed path) and with one
+// dropping every even position (the drop bitmask path).
 func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
 	harness.VerifyNoLeaks(t)
+	dropEven := dropFunc(func(_ event.Type, pos, _ int) bool { return pos%2 == 0 })
 	for _, c := range []struct{ shards, count, slide int }{{1, 10, 10}, {2, 10, 10}, {2, 64, 8}} {
-		shards := c.shards
-		opCfg := opConfig(nil)
-		opCfg.Window = window.Spec{Mode: window.ModeCount, Count: c.count, Slide: c.slide}
-		for _, batch := range []int{8, 256} {
-			p, err := New(Config{Operator: opCfg, LatencySampleEvery: 1 << 30, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- p.Run(context.Background()) }()
-			go func() {
-				for range p.Out() {
+		for _, dec := range []operator.Decider{nil, &toggleDecider{}, dropEven} {
+			for _, batch := range []int{8, 256} {
+				opCfg := opConfig(dec)
+				opCfg.Window = window.Spec{Mode: window.ModeCount, Count: c.count, Slide: c.slide}
+				if allocs := submitAllocs(t, Config{Operator: opCfg, LatencySampleEvery: 1 << 30, Shards: c.shards}, batch); allocs != 0 {
+					t.Errorf("shards=%d windows=%d/%d batch=%d decider %T: %.3f allocs per submitted batch, want 0",
+						c.shards, c.count, c.slide, batch, dec, allocs)
 				}
-			}()
-			events := make([]event.Event, batch)
-			var seq uint64
-			// drained reports whether the pipeline has processed everything
-			// submitted: serially the processed count, sharded the shards'
-			// staged memberships (the partitioner counts an event processed
-			// as it routes it).
-			drained := func() bool {
-				if shards == 1 {
-					return p.processed.Load() >= seq
-				}
-				var queued int64
-				for _, s := range p.shards {
-					queued += s.queued.Load()
-				}
-				return queued == 0
-			}
-			step := func() {
-				for i := range events {
-					events[i] = event.Event{Seq: seq, TS: event.Time(seq), Type: typeA}
-					seq++
-				}
-				p.SubmitBatch(events)
-				for !drained() {
-					stdruntime.Gosched()
-				}
-			}
-			for i := 0; i < 64; i++ { // warm the queues, the window pools and the scratch
-				step()
-			}
-			if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-				t.Errorf("shards=%d windows=%d/%d batch=%d: %.3f allocs per submitted batch, want 0",
-					shards, c.count, c.slide, batch, allocs)
-			}
-			p.CloseInput()
-			if err := <-done; err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
+}
+
+// submitAllocs runs cfg's pipeline and returns the allocations of one
+// steady-state SubmitBatch of batch events, waited on until processed.
+func submitAllocs(t *testing.T, cfg Config, batch int) float64 {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Run(context.Background()) }()
+	go func() {
+		for range p.Out() {
+		}
+	}()
+	events := make([]event.Event, batch)
+	var seq uint64
+	// drained reports whether the pipeline has processed everything
+	// submitted: serially the processed count, sharded the shards'
+	// staged memberships (the partitioner counts an event processed
+	// as it routes it).
+	drained := func() bool {
+		if cfg.Shards <= 1 {
+			return p.processed.Load() >= seq
+		}
+		var queued int64
+		for _, s := range p.shards {
+			queued += s.queued.Load()
+		}
+		return queued == 0
+	}
+	step := func() {
+		for i := range events {
+			events[i] = event.Event{Seq: seq, TS: event.Time(seq), Type: typeA}
+			seq++
+		}
+		p.SubmitBatch(events)
+		for !drained() {
+			stdruntime.Gosched()
+		}
+	}
+	for i := 0; i < 64; i++ { // warm the queues, the window pools and the scratch
+		step()
+	}
+	allocs := testing.AllocsPerRun(500, step)
+	p.CloseInput()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }

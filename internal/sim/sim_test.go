@@ -141,6 +141,8 @@ func (f *fracShedder) DropCounted(window.ID, event.Type, int, int) (bool, bool) 
 
 func (f *fracShedder) TallyDecisions(uint64, uint64) {}
 
+func (f *fracShedder) Active() bool { return f.active }
+
 // fracController activates the shedder on overload decisions.
 type fracController struct{ s *fracShedder }
 

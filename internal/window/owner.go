@@ -35,22 +35,27 @@ func (o *Owner) Open(r Rec) *Window {
 	return w
 }
 
-// Push routes e to every open window: e is stored once in the ring and
-// each window hands out its next position, which is Arrivals-1 once
-// Push returns. The returned windows are valid until the next Open or
-// Close.
+// Push routes e to every open window. e is stored once in the ring and
+// no window is touched: e's position in open window w is Pos(w). The
+// returned windows are valid until the next Open or Close. (A buffered
+// owner has no ring and counts each window's Arrivals instead.)
 func (o *Owner) Push(e event.Event) []*Window {
 	if len(o.open) == 0 {
 		return nil
 	}
 	if !o.buffered {
 		o.ring.Push(e)
+		return o.open
 	}
 	for _, w := range o.open {
 		w.Arrivals++
 	}
 	return o.open
 }
+
+// Pos returns the position the latest pushed event has in open window
+// w: every event pushed since w opened is one of w's positions.
+func (o *Owner) Pos(w *Window) int { return int(o.ring.End()-w.Start) - 1 }
 
 // Close removes window id from the open windows, seals it and binds it
 // to its ring segment; the window and its View are valid until Release.
@@ -64,6 +69,7 @@ func (o *Owner) Close(id ID) *Window {
 	o.open = slices.Delete(o.open, i, i+1)
 	w.closed = true
 	if !o.buffered {
+		w.Arrivals = o.Pos(w) + 1
 		w.Bind(&o.ring)
 	}
 	o.sealed++

@@ -112,10 +112,10 @@ type Entry struct {
 // Window is one window instance: the unit of pattern matching and of
 // shedding decisions. A window stores no events: its owner keeps every
 // event it routes once, in a Ring, and position p of the window is the
-// ring's event Start+p. The window records only how many positions it
-// handed out and which of them the shedder dropped; at close the owner
-// Binds it to its ring segment and the matcher reads the kept entries
-// through Entries.
+// ring's event Start+p. The window records only which positions the
+// shedder dropped; at close the owner sets how many positions it handed
+// out, Binds it to its ring segment, and the matcher reads the kept
+// entries through Entries.
 //
 // Windows are pooled: once a closed window has been handed back via
 // Owner.Release, the struct is recycled for a future window. Release detaches it first — a retained *Window reads
@@ -136,8 +136,11 @@ type Window struct {
 
 	// Start is the absolute index, in the owner's Ring, of the event at
 	// position 0; the owner sets it when the window opens.
-	Start    uint64
-	Arrivals int // positions handed out, including dropped events
+	Start uint64
+	// Arrivals counts the positions handed out, dropped events included.
+	// It is set at close; while the window is open, read it through the
+	// owner (Owner.Pos(w)+1).
+	Arrivals int
 	Dropped  int
 	closed   bool
 
@@ -197,8 +200,8 @@ func (w *Window) Entries() *View {
 	return &w.view
 }
 
-// Size returns the total number of events routed to the window (kept +
-// dropped). After the window closes this is the true window size ws.
+// Size returns Arrivals: once the window has closed, the total number of
+// events routed to it (kept + dropped), the true window size ws.
 func (w *Window) Size() int { return w.Arrivals }
 
 // CopyKept appends copies of the window's kept entries to dst and returns

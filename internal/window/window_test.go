@@ -668,7 +668,7 @@ func TestPolicyOwnerSteadyStateZeroAlloc(t *testing.T) {
 				o.Open(st.Open)
 			}
 			for _, w := range o.Push(e) {
-				if pos := w.Arrivals - 1; pos%3 == 0 {
+				if pos := o.Pos(w); pos%3 == 0 {
 					w.Drop(pos)
 				}
 			}
