@@ -68,13 +68,14 @@ bench-e2e:
 bench-figures:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# Short fuzzing pass over the wire codec, the frame parser and the WAL
-# replay scanner (go test allows one -fuzz pattern per invocation,
-# hence separate runs). New crashers land in the packages'
-# testdata/fuzz directories; commit them.
+# Short fuzzing pass over the wire codec, the frame parser, the NDJSON
+# framer, the WAL replay scanner and the windowing policy (go test
+# allows one -fuzz pattern per invocation, hence separate runs). New
+# crashers land in the packages' testdata/fuzz directories; commit them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzServerFrame$$' -fuzztime=$(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzServerNDJSON$$' -fuzztime=$(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicyMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/window
 
@@ -91,7 +92,8 @@ fuzz-smoke:
 # - transport (race): the client's per-connection writer (what a write
 #   coalesces, when Flush returns, how a write failure reaches a producer
 #   blocked on credit), resync, durable sessions, the equivalence suites,
-#   the run semantics and the frame fuzzer's seed corpus;
+#   the run semantics, the NDJSON framing and the frame and NDJSON
+#   fuzzers' seed corpora;
 # - chaos (race): a sink panic contained by the server;
 # - core and baseline (race, whole packages): one shedder shared by
 #   concurrent deciders while its state is flipped must decide as a
@@ -99,7 +101,7 @@ fuzz-smoke:
 stress:
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Backpressure|PanicMidMessage|Equivalence|ShedsUnderOverload|BacklogEvents|Sharded|Ring' ./internal/runtime
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SubmitBeforeRun|TotalOrder|EngineEquivalence|DeregisterUnderLiveTraffic|ConcurrentRegisterSubmit|ShardedPoolChurn' ./internal/engine
-	$(GO) test -race -count=5 -cpu 1,2 -run 'Client|Coalesc|LoneBatch|Resync|Durable|Equiv|^TestRun|^FuzzServerFrame$$' ./internal/transport
+	$(GO) test -race -count=5 -cpu 1,2 -run 'Client|Coalesc|LoneBatch|Resync|Durable|Equiv|^TestRun|^FuzzServerFrame$$|NDJSON' ./internal/transport
 	$(GO) test -race -count=5 -cpu 1,2 -run 'SinkPanic' ./internal/chaos
 	$(GO) test -race -count=5 -cpu 1,2 ./internal/core ./internal/baseline
 

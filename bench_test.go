@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -129,10 +130,14 @@ func BenchmarkAblationShedders(b *testing.B)     { benchFigure(b, harness.Ablati
 // BenchmarkAblationExactVsAtLeast contrasts exact-amount dropping with
 // the literal Algorithm 2 (drop at least x): the at-least variant drops
 // every event at or below the threshold. Each iteration decides one
-// whole window, so drop% does not depend on b.N.
+// whole window whose types are drawn from the model's per-position
+// shares (drawnWindows), the stream the shedder's CDT expects, so exact
+// mode drops x = 50 of every 200-event partition (25 %) and at-least a
+// little more. drop% does not depend on b.N.
 func BenchmarkAblationExactVsAtLeast(b *testing.B) {
-	m := syntheticModel(b, 500, 2000)
-	part := core.ComputePartitioning(2000, 1000, 0.8)
+	const ws = 2000
+	m, windows := drawnWindows(b, 500, ws, 64)
+	part := core.ComputePartitioning(ws, 1000, 0.8)
 	for _, exact := range []bool{true, false} {
 		name := "atleast"
 		if exact {
@@ -150,15 +155,59 @@ func BenchmarkAblationExactVsAtLeast(b *testing.B) {
 			drops := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for pos := 0; pos < 2000; pos++ {
-					if drop, _ := s.DropCounted(window.ID(i), event.Type(pos%500), pos, 2000); drop {
+				for pos, t := range windows[i%len(windows)] {
+					if drop, _ := s.DropCounted(window.ID(i), t, pos, ws); drop {
 						drops++
 					}
 				}
 			}
-			b.ReportMetric(float64(drops)/float64(b.N*2000)*100, "drop%")
+			b.ReportMetric(float64(drops)/float64(b.N*ws)*100, "drop%")
 		})
 	}
+}
+
+// drawnWindows builds a synthetic model of n positions whose type
+// shares are normalised to one expected event per position, and draws
+// the types of count windows from those shares.
+func drawnWindows(tb testing.TB, types, n, count int) (*core.Model, [][]event.Type) {
+	tb.Helper()
+	ut, err := core.NewUtilityTable(types, n, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	shares := make([][]float64, types)
+	for t := range shares {
+		shares[t] = make([]float64, n)
+	}
+	cum := make([][]float64, n) // cum[p][t]: the shares of types <= t at p
+	for p := range cum {
+		var sum float64
+		for t := range shares {
+			ut.Set(event.Type(t), p, rng.Intn(101))
+			shares[t][p] = rng.Float64()
+			sum += shares[t][p]
+		}
+		cum[p] = make([]float64, types)
+		var acc float64
+		for t := range shares {
+			shares[t][p] /= sum
+			acc += shares[t][p]
+			cum[p][t] = acc
+		}
+	}
+	m, err := core.NewModelFromTable(ut, shares)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	windows := make([][]event.Type, count)
+	for w := range windows {
+		windows[w] = make([]event.Type, n)
+		for p := range windows[w] {
+			windows[w][p] = event.Type(min(sort.SearchFloat64s(cum[p], rng.Float64()), types-1))
+		}
+	}
+	return m, windows
 }
 
 // markerType opens and closes the tumbling predicate windows of the

@@ -4,8 +4,8 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - internal/event, window, pattern, operator, queue: a window-based
-//     CEP engine (sequence / any / repetition operators, first & last
+//   - internal/event, window, pattern, operator: a window-based CEP
+//     engine (sequence / any / repetition operators, first & last
 //     selection policies, consumed & zero consumption policies).
 //   - internal/core: the eSPICE contribution — the (type, position)
 //     utility model, CDT threshold tables, window partitioning, overload

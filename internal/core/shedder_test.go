@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -339,6 +342,88 @@ func TestShedderExactVsAtLeastExpectedDrops(t *testing.T) {
 	exact := countDrops(true)
 	if exact < 2.8 || exact > 3.2 {
 		t.Errorf("exact mode dropped %v per window, want ~3", exact)
+	}
+}
+
+// TestShedderExactAmountOnDrawnStream: on windows whose types are drawn
+// from the model's own per-position shares (normalised to one expected
+// event per position), exact-amount dropping removes x events per
+// partition, within one event (2 %) of x in every partition, averaged
+// over the windows. The literal at-least variant drops no fewer; it
+// overshoots by about 1.3 events here, outside that tolerance in most
+// partitions. It is the setup of the root BenchmarkAblationExactVsAtLeast:
+// 500 types, 2000-position windows, ρ = 10 partitions of 200, x = 50.
+func TestShedderExactAmountOnDrawnStream(t *testing.T) {
+	const types, ws, windows, x, tolerance = 500, 2000, 200, 50.0, 1.0
+	rng := rand.New(rand.NewSource(7))
+	ut, err := NewUtilityTable(types, ws, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := make([][]float64, types)
+	for ty := range shares {
+		shares[ty] = make([]float64, ws)
+	}
+	cum := make([][]float64, ws) // cum[p][ty]: shares of types <= ty at p
+	for p := range cum {
+		var sum float64
+		for ty := range shares {
+			ut.Set(event.Type(ty), p, rng.Intn(101))
+			shares[ty][p] = rng.Float64()
+			sum += shares[ty][p]
+		}
+		cum[p] = make([]float64, types)
+		var acc float64
+		for ty := range shares {
+			shares[ty][p] /= sum
+			acc += shares[ty][p]
+			cum[p][ty] = acc
+		}
+	}
+	m, err := NewModelFromTable(ut, shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make([][]event.Type, windows)
+	for w := range stream {
+		stream[w] = make([]event.Type, ws)
+		for p := range stream[w] {
+			ty := sort.SearchFloat64s(cum[p], rng.Float64())
+			stream[w][p] = event.Type(min(ty, types-1))
+		}
+	}
+	part := ComputePartitioning(ws, 1000, 0.8)
+	if part.Rho != 10 || part.PSize != 200 {
+		t.Fatalf("partitioning %+v, want 10 partitions of 200", part)
+	}
+	perPartition := func(exact bool) []float64 {
+		s, err := NewShedder(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetExactAmount(exact)
+		if err := s.Configure(part, x); err != nil {
+			t.Fatal(err)
+		}
+		drops := make([]float64, part.Rho)
+		for w, types := range stream {
+			for p, ty := range types {
+				if dropIn(s, w, ty, p, ws) {
+					drops[p/part.PSize] += 1.0 / windows
+				}
+			}
+		}
+		return drops
+	}
+	exact, atLeast := perPartition(true), perPartition(false)
+	t.Logf("drops per window and partition: exact %.2f, at-least %.2f", exact, atLeast)
+	for k := range exact {
+		if math.Abs(exact[k]-x) > tolerance {
+			t.Errorf("partition %d: exact mode dropped %.2f per window, want %v ± %v", k, exact[k], x, tolerance)
+		}
+		if atLeast[k] < exact[k] {
+			t.Errorf("partition %d: at-least mode dropped %.2f per window, fewer than exact's %.2f", k, atLeast[k], exact[k])
+		}
 	}
 }
 

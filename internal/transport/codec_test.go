@@ -2,7 +2,10 @@ package transport
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/event"
@@ -197,6 +200,28 @@ func TestCodecRetainAllocsBounded(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("Retain decode allocates %.1f times per 256-event frame, want <= 1", allocs)
 	}
+}
+
+// AppendNDJSON appends the NDJSON line (with trailing newline) for e to
+// dst, rendering the type by name through reg when non-nil: the producer
+// side of the line codec, for the tests that drive the NDJSON framing.
+func AppendNDJSON(dst []byte, e event.Event, reg *event.Registry) []byte {
+	raw := ndjsonEvent{Seq: e.Seq, TS: int64(e.TS), Vals: e.Vals}
+	if reg != nil {
+		name, _ := json.Marshal(reg.Name(e.Type))
+		raw.Type = name
+	} else {
+		raw.Type = json.RawMessage(strconv.FormatInt(int64(e.Type), 10))
+	}
+	raw.Kind = json.RawMessage(strconv.FormatUint(uint64(e.Kind), 10))
+	line, err := json.Marshal(raw)
+	if err != nil {
+		// ndjsonEvent contains only marshalable fields; NaN/Inf values
+		// are the single failure mode and are a caller data error.
+		panic(fmt.Sprintf("transport: ndjson marshal: %v", err))
+	}
+	dst = append(dst, line...)
+	return append(dst, '\n')
 }
 
 func TestNDJSONRoundTrip(t *testing.T) {

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -175,6 +178,79 @@ func FuzzServerFrame(f *testing.F) {
 		if oneFailed != perFailed || !bytes.Equal(oneRun, perRead) || !eventsEqual(oneEvents, perEvents) {
 			t.Fatalf("read boundaries changed the outcome (step %d): failed %v/%v, %d/%d reply bytes, %d/%d events",
 				step, oneFailed, perFailed, len(oneRun), len(perRead), len(oneEvents), len(perEvents))
+		}
+	})
+}
+
+// chunkConn is a peer that sends a script, at most step bytes per read,
+// and keeps what the handler writes back.
+type chunkConn struct {
+	stubConn
+	script []byte
+	step   int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	if len(c.script) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.step)], c.script)
+	c.script = c.script[n:]
+	return n, nil
+}
+
+// FuzzServerNDJSON hardens the NDJSON framer: arbitrary line streams go
+// through the journaled connection handler, once as a single read and
+// once a chunk per read. Where the reads fall — and so where its runs
+// end — must change neither what reaches the sink nor a byte of the
+// replies, and the journal must hold exactly the events the sink got.
+func FuzzServerNDJSON(f *testing.F) {
+	const line = "{\"seq\":1,\"type\":0,\"ts\":5}\n"
+	f.Add([]byte("{\"token\":\"tok\"}\n"+line+"{\"seq\":2,\"type\":\"B\",\"ts\":6,\"kind\":\"rising\",\"vals\":[1.5]}\n"), uint8(0))
+	f.Add([]byte("{\"token\":\"bad\"}\n"+line), uint8(3))
+	f.Add([]byte(line+"{\"token\":\"tok\"}\n"), uint8(4))
+	f.Add([]byte("\n\r\n"+line+"\n{\"seq\":2,\"type\":1}"), uint8(1))
+	f.Add([]byte(line+"not json\n"+line), uint8(7))
+	f.Add([]byte(line+strings.Repeat("a", 300)+"\n"+line), uint8(15))
+	var stream []byte
+	for seq := range 600 {
+		stream = fmt.Appendf(stream, "{\"seq\":%d,\"type\":%d,\"ts\":%d}\n", seq, seq%2, seq*10)
+	}
+	f.Add(stream, uint8(9))
+	reg := event.NewRegistry()
+	reg.RegisterAll("A", "B")
+	auth := testAuth(map[string]TenantAuth{"": {}, "tok": {Tenant: "alpha"}})
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
+		if len(data) > 0 && data[0] == Magic {
+			return // the binary framing (FuzzServerFrame)
+		}
+		serve := func(step int) (replies []byte, delivered []event.Event) {
+			sink, journal := &collectSink{}, &memJournal{}
+			srv, err := NewServer(ServerConfig{Sink: sink, Journal: journal, Registry: reg, MaxFrame: 256, Authenticate: auth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := &chunkConn{script: data, step: step}
+			_ = srv.handle(conn)
+			delivered = sink.snapshot()
+			var journaled int
+			for _, b := range journal.snapshot() {
+				journaled += b.count
+			}
+			if journaled != len(delivered) {
+				t.Fatalf("journal holds %d events, sink %d", journaled, len(delivered))
+			}
+			if st := srv.Stats(); st.EventsNDJSON != uint64(len(delivered)) {
+				t.Fatalf("EventsNDJSON = %d, sink %d", st.EventsNDJSON, len(delivered))
+			}
+			return conn.sent.Bytes(), delivered
+		}
+		step := int(chunk%16) + 1
+		oneRead, oneEvents := serve(len(data) + 1)
+		perChunk, chunkEvents := serve(step)
+		if !bytes.Equal(oneRead, perChunk) || !eventsEqual(oneEvents, chunkEvents) {
+			t.Fatalf("read boundaries changed the outcome (step %d): replies %q vs %q, %d/%d events",
+				step, oneRead, perChunk, len(oneEvents), len(chunkEvents))
 		}
 	})
 }

@@ -9,19 +9,23 @@ import (
 	"repro/internal/event"
 )
 
-// binaryConn is one binary connection's handler state: what the
-// connection is (tenant, session, credit) and the run in progress — the
-// frames that arrived with one read, staged together so that one journal
-// sync and one socket write cover all of them (see handleBinary for the
-// stage order).
+// binaryConn is one connection's handler state, for either framing:
+// what the connection is (tenant, session, credit) and the run in
+// progress — the frames or lines that arrived with one read, staged
+// together so that one journal sync and one socket write cover all of
+// them (see serveBinary for the stage order). Both framings share every
+// stage; only the replies are encoded per framing (ack, drop and the
+// hello replies), switched on ndjson.
 type binaryConn struct {
-	s    *Server
-	conn net.Conn
-	dec  Decoder
+	s      *Server
+	conn   net.Conn
+	dec    Decoder
+	ndjson bool // NDJSON framing: lines in, status and error lines out, no credit
 
 	tenantMode bool // version-2 preface: hello first, window granted after auth
-	helloDone  bool
+	helloDone  bool // binary: the hello frame was taken; NDJSON: the first line was judged
 	sawEOF     bool
+	degraded   bool // NDJSON: the producer's last status line said degraded
 	ten        *tenantState
 	carved     int      // credit window carved from the tenant's pool
 	sess       *session // non-nil once FrameHello opened a durable session
@@ -47,13 +51,23 @@ type stagedBatch struct {
 }
 
 // errDropped ends a connection whose failure is already accounted for —
-// a journal fault, a failed write. Unlike a protocol error, nothing is
-// reported to the peer: to a producer it is indistinguishable from a
-// crash, and its redial path recovers.
+// a failed write. Unlike a protocol error, nothing is reported to the
+// peer: to a producer it is indistinguishable from a crash, and its
+// redial path recovers.
 var errDropped = errors.New("transport: connection dropped")
 
-// admit authenticates the connection and carves its credit window out
-// of the tenant's pool.
+// journalFault ends a connection on a fail-stop journal error: the
+// batch is simply not durable, which is a server fault, not the
+// client's — no protocol error is counted. A binary producer is told
+// nothing and redials (as after errDropped); an NDJSON producer, which
+// has no redial protocol, gets the fault as its error line.
+type journalFault struct{ err error }
+
+func (f journalFault) Error() string { return "transport: journal: " + f.err.Error() }
+
+// admit authenticates the connection and, on a binary connection,
+// carves its credit window out of the tenant's pool. NDJSON has no
+// credit protocol, so there is nothing to carve.
 func (c *binaryConn) admit(token []byte) error {
 	ten, err := c.s.resolveTenant(token)
 	if err != nil {
@@ -61,6 +75,9 @@ func (c *binaryConn) admit(token []byte) error {
 	}
 	c.ten = ten
 	tenantOpen(ten)
+	if c.ndjson {
+		return nil
+	}
 	if c.carved = c.s.carveWindow(ten); c.carved <= 0 {
 		return fmt.Errorf("transport: tenant %q: aggregate credit window exhausted", ten.name)
 	}
@@ -82,12 +99,17 @@ func (c *binaryConn) release() {
 }
 
 // run pushes every complete frame in the scanner through the stages and
-// answers them with one write. Whatever was staged ahead of a failing
-// frame is still committed, submitted and acknowledged first, exactly
-// as if its frames had arrived alone.
+// answers them with one write.
 func (c *binaryConn) run(scan *frameScanner) error {
 	c.events = c.events[:0]
-	err := c.dispatch(scan)
+	return c.settle(c.dispatch(scan))
+}
+
+// settle ends a run: it commits, submits and acknowledges what the run
+// staged and writes the replies. Whatever was staged ahead of a failing
+// frame or line (err) is still committed, submitted and acknowledged
+// first, exactly as if it had arrived alone.
+func (c *binaryConn) settle(err error) error {
 	if ferr := c.flush(); ferr != nil {
 		err = ferr // in stream order the journal fault came first
 	}
@@ -95,6 +117,32 @@ func (c *binaryConn) run(scan *frameScanner) error {
 		err = werr
 	}
 	return err
+}
+
+// drop logs and answers the error that ends the connection, in its
+// framing: a protocol error is counted and reported — FrameError or an
+// {"error":...} line —, a journal fault is reported on NDJSON only (see
+// journalFault), and errDropped is already accounted for. Best effort:
+// the peer may already be gone.
+func (c *binaryConn) drop(err error) {
+	switch e := err.(type) {
+	case journalFault:
+		c.s.logf("transport: %s: journal: %v (dropping connection unacknowledged)", c.conn.RemoteAddr(), e.err)
+		if !c.ndjson {
+			return
+		}
+	default:
+		if err == errDropped {
+			return
+		}
+		c.s.protoErrs.Add(1)
+		c.s.logf("transport: %s: %v", c.conn.RemoteAddr(), err)
+	}
+	if c.ndjson {
+		_ = c.s.write(c.conn, fmt.Appendf(nil, "{\"error\":%q}\n", err.Error()))
+	} else {
+		_ = c.s.write(c.conn, AppendFrame(nil, FrameError, []byte(err.Error())))
+	}
 }
 
 // dispatch walks the run's frames: events frames are staged, every other
@@ -178,8 +226,7 @@ func (c *binaryConn) dispatch(scan *frameScanner) error {
 
 // stage decodes one events frame into the run's slab, checks it against
 // the credit window and (sequenced frames) the session watermark, and
-// appends it to the journal. Nothing is committed, submitted or
-// acknowledged here; that is flush.
+// stages it (stageBatch).
 func (c *binaryConn) stage(sequenced bool, payload []byte) error {
 	if c.sawEOF {
 		return fmt.Errorf("transport: events after EOF frame")
@@ -213,16 +260,25 @@ func (c *binaryConn) stage(sequenced bool, payload []byte) error {
 		return nil
 	}
 	c.credit -= n
-	b := stagedBatch{lo: lo, hi: len(events), batchSeq: batchSeq}
+	return c.stageBatch(lo, batchSeq, sessID, payload)
+}
+
+// stageBatch appends the slab's events[lo:] to the journal as one batch,
+// under payload — its wire bytes, valid until the run ends — and stages
+// it. Nothing is committed, submitted or acknowledged here; that is
+// flush.
+func (c *binaryConn) stageBatch(lo int, batchSeq, sessID uint64, payload []byte) error {
+	b := stagedBatch{lo: lo, hi: len(c.events), batchSeq: batchSeq}
 	if j := c.s.cfg.Journal; j != nil {
-		b.seq, err = j.Append(sessID, batchSeq, int(n), maxTS(events[lo:]), payload)
+		var err error
+		b.seq, err = j.Append(sessID, batchSeq, b.hi-lo, maxTS(c.events[lo:]), payload)
 		switch {
 		case err == nil:
 			b.journaled = true
 		case errors.Is(err, ErrJournalDegraded):
 			b.degraded = true
 		default:
-			return c.journalFailed(err)
+			return journalFault{err}
 		}
 	}
 	c.staged = append(c.staged, b)
@@ -302,7 +358,7 @@ func (c *binaryConn) unlockSession() {
 // it is accepted without durability, the watermark advances in memory
 // only, and the ack says so with FlagDegraded. Any other journal error
 // stops the run there: that batch and every later one is neither
-// submitted nor acknowledged, and the connection drops (errDropped) once
+// submitted nor acknowledged, and the connection drops (journalFault) once
 // the acks of the batches before it are out — the producer redials and
 // retransmits, and the dedup watermark keeps delivery effectively-once.
 //
@@ -354,27 +410,38 @@ func (c *binaryConn) flush() error {
 	c.credit += total
 	c.accepted += total
 	c.charge += total
-	s.evBinary.Add(total)
+	if c.ndjson {
+		s.evNDJSON.Add(total)
+	} else {
+		s.evBinary.Add(total)
+	}
 	if c.ten != nil {
 		c.ten.events.Add(total)
 	}
 	if failed != nil {
-		return c.journalFailed(failed)
+		return journalFault{failed}
 	}
 	return nil
 }
 
-// journalFailed logs a fail-stop journal error; the batch is simply not
-// durable, which is a server fault, not the client's — no FrameError.
-func (c *binaryConn) journalFailed(err error) error {
-	c.s.logf("transport: %s: journal: %v (dropping connection unacknowledged)", c.conn.RemoteAddr(), err)
-	return errDropped
-}
-
-// ack appends one credit grant of n events to the reply buffer. A
-// non-zero applied (batch sequences start at 1) makes it a durable
-// session's ack of every batch through that watermark.
+// ack appends one batch's reply to the reply buffer. On a binary
+// connection that is a credit grant of n events; a non-zero applied
+// (batch sequences start at 1) makes it a durable session's ack of every
+// batch through that watermark. NDJSON has no credit: a batch is
+// answered only when it changes what the producer was last told about
+// durability, by a status line.
 func (c *binaryConn) ack(n, applied uint64, degraded bool) {
+	if c.ndjson {
+		if degraded != c.degraded {
+			c.degraded = degraded
+			status := "durable"
+			if degraded {
+				status = "degraded"
+			}
+			c.out = fmt.Appendf(c.out, "{\"status\":%q}\n", status)
+		}
+		return
+	}
 	switch {
 	case applied != 0 && degraded:
 		c.out = AppendCreditAckFlagsFrame(c.out, n, applied, FlagDegraded)

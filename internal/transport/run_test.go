@@ -7,9 +7,12 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/event"
 	"repro/internal/harness"
@@ -255,6 +258,85 @@ func TestRunGroupCommit(t *testing.T) {
 			t.Fatalf("sink call %d on a plain connection carried tenant %q", i, tenant)
 		}
 	}
+}
+
+// TestRunGroupCommitNDJSON is TestRunGroupCommit's twin on the NDJSON
+// framing: lines buffered behind one slow Commit — several journal
+// records' worth — reach the sink in stream order through at most two
+// sync rounds and as many sink calls, and no sink call comes before the
+// sync of every record appended so far.
+func TestRunGroupCommitNDJSON(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	const n = 1024
+	journal := &gateJournal{gate: make(chan struct{})}
+	sink := &syncedSink{journal: journal}
+	srv := startServer(t, ServerConfig{Sink: sink, Journal: journal})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	line := func(seq int) []byte { return fmt.Appendf(nil, "{\"seq\":%d,\"type\":0}\n", seq) }
+	if _, err := conn.Write(line(0)); err != nil {
+		t.Fatal(err)
+	}
+	var rest []byte
+	for seq := 1; seq < n; seq++ {
+		rest = append(rest, line(seq)...)
+	}
+	if _, err := conn.Write(rest); err != nil {
+		t.Fatal(err)
+	}
+	close(journal.gate)
+	conn.(*net.TCPConn).CloseWrite()
+	if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
+		t.Fatalf("reply %q (%v), want none on a healthy journal", reply, err)
+	}
+	waitCond(t, 5*time.Second, func() bool { return srv.Stats().ConnsActive == 0 })
+
+	got := sink.snapshot()
+	if len(got) != n {
+		t.Fatalf("sink holds %d events, want %d", len(got), n)
+	}
+	for i, e := range got {
+		if e.Seq != uint64(i) {
+			t.Fatalf("event %d has seq %d: stream order lost", i, e.Seq)
+		}
+	}
+	synced, rounds, _ := journal.state()
+	sink.mu.Lock()
+	calls, early := sink.calls, sink.early
+	sink.mu.Unlock()
+	if rounds > 2 || calls != rounds {
+		t.Fatalf("%d lines took %d sync rounds and %d sink calls, want equal and at most 2", n, rounds, calls)
+	}
+	if synced < n/ndjsonBatch {
+		t.Fatalf("%d lines journaled as %d records, want at least %d", n, synced, n/ndjsonBatch)
+	}
+	if early != 0 {
+		t.Fatalf("%d sink calls came before their records were synced", early)
+	}
+}
+
+// syncedSink is a collecting sink that counts its calls and, per call,
+// whether a record the journal took is still unsynced.
+type syncedSink struct {
+	collectSink
+	journal      *gateJournal
+	calls, early int // guarded by collectSink.mu
+}
+
+func (s *syncedSink) SubmitBatch(evs []event.Event) {
+	s.journal.mu.Lock()
+	unsynced := s.journal.synced < s.journal.lastSeq
+	s.journal.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls++
+	if unsynced {
+		s.early++
+	}
+	s.events = append(s.events, evs...)
 }
 
 // TestRunSubmitsOnce: on a tenant connection the one sink call per run

@@ -207,7 +207,7 @@ type ServerStats struct {
 }
 
 // Server is a TCP ingest server; build it with NewServer and drive it
-// with Serve or ListenAndServe.
+// with Serve.
 type Server struct {
 	cfg ServerConfig
 
@@ -506,15 +506,6 @@ func (s *Server) noteReadErr(conn net.Conn, err error) {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Close (or a fatal listener
 // error) and blocks until every connection handler has returned. The
 // listener is closed on return.
@@ -724,24 +715,12 @@ func (s *Server) handle(conn net.Conn) error {
 	if err != nil {
 		return err // closed before the first byte; nothing to do
 	}
-	if first[0] == Magic {
-		return s.handleBinary(conn, br)
+	c := &binaryConn{s: s, conn: conn, ndjson: first[0] != Magic}
+	defer c.release()
+	if c.ndjson {
+		return c.serveNDJSON(br)
 	}
-	return s.handleNDJSON(conn, br)
-}
-
-// protoError counts, reports (best effort) and logs a protocol error.
-func (s *Server) protoError(conn net.Conn, err error) {
-	s.protoErrs.Add(1)
-	s.logf("transport: %s: %v", conn.RemoteAddr(), err)
-	// Best-effort error frame; the peer may already be gone.
-	_ = s.write(conn, AppendFrame(nil, FrameError, []byte(err.Error())))
-}
-
-// ndjsonError reports an error line to an NDJSON producer, best effort:
-// every caller drops the connection next, whether or not it arrived.
-func (s *Server) ndjsonError(conn net.Conn, msg string) {
-	_ = s.write(conn, fmt.Appendf(nil, "{\"error\":%q}\n", msg))
+	return c.serveBinary(br)
 }
 
 // runReadSize is the binary handler's read size and so the byte bound of
@@ -751,7 +730,7 @@ func (s *Server) ndjsonError(conn net.Conn, msg string) {
 // 1.6 → 2.5 M events/s), and larger reads bought nothing more.
 const runReadSize = 64 << 10
 
-// handleBinary runs the framed read loop. Its unit of work is the run:
+// serveBinary runs the framed read loop. Its unit of work is the run:
 // every complete frame already in the scanner after one Read, never a
 // frame the handler would have to wait for. A run moves through ordered
 // stages (binaryConn, run.go): per frame, scan → decode into the run's
@@ -784,26 +763,24 @@ const runReadSize = 64 << 10
 //
 // It returns the read failure that ended the loop (nil when the
 // connection ended for any other reason), for the caller to classify.
-func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) error {
+func (c *binaryConn) serveBinary(br *bufio.Reader) error {
+	s := c.s
 	var preface [2]byte
 	if _, err := io.ReadFull(br, preface[:]); err != nil {
 		return nil
 	}
 	if preface[1] != ProtocolVersion && preface[1] != ProtocolVersionTenant {
-		s.protoError(conn, fmt.Errorf("transport: protocol version %d not supported", preface[1]))
+		c.drop(fmt.Errorf("transport: protocol version %d not supported", preface[1]))
 		return nil
 	}
-	c := &binaryConn{
-		s: s, conn: conn, tenantMode: preface[1] == ProtocolVersionTenant,
-		dec: Decoder{Retain: true, MaxVals: s.cfg.MaxVals, MaxBatch: s.cfg.Window},
-	}
+	c.tenantMode = preface[1] == ProtocolVersionTenant
+	c.dec = Decoder{Retain: true, MaxVals: s.cfg.MaxVals, MaxBatch: s.cfg.Window}
 	if s.cfg.Registry != nil {
 		c.dec.MaxTypes = s.cfg.Registry.Len()
 	}
-	defer c.release()
 	if !c.tenantMode {
 		if err := c.admit(nil); err != nil {
-			s.protoError(conn, err)
+			c.drop(err)
 			return nil
 		}
 		c.out = AppendCreditFrame(c.out, c.credit)
@@ -814,14 +791,12 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) error {
 	scan := newFrameScanner(s.cfg.MaxFrame)
 	read := make([]byte, runReadSize)
 	for {
-		s.armIdle(conn)
+		s.armIdle(c.conn)
 		n, rerr := br.Read(read)
 		if n > 0 {
 			scan.Feed(read[:n])
 			if err := c.run(scan); err != nil {
-				if err != errDropped {
-					s.protoError(conn, err)
-				}
+				c.drop(err)
 				return nil
 			}
 		}
@@ -854,201 +829,4 @@ func maxTS(events []event.Event) event.Time {
 		}
 	}
 	return ts
-}
-
-// journalBatch appends the batch's wire bytes to the configured
-// journal and commits (fsyncs) them. A non-nil return means the batch
-// is not durable and the caller must drop the connection without
-// acknowledging it.
-func (s *Server) journalBatch(sessID, batchSeq uint64, events []event.Event, payload []byte) error {
-	seq, err := s.cfg.Journal.Append(sessID, batchSeq, len(events), maxTS(events), payload)
-	if err == nil {
-		err = s.cfg.Journal.Commit(seq)
-	}
-	if err != nil {
-		return fmt.Errorf("transport: journal: %w", err)
-	}
-	return nil
-}
-
-// handleNDJSON runs the line read loop: parse each line into an event,
-// batch adjacent buffered lines, and submit whenever the read buffer
-// runs dry (so a lone line is never delayed). Backpressure is the
-// bounded read: the loop will not read more lines while the sink
-// blocks, which eventually blocks the producer in TCP flow control.
-//
-// Two kinds of non-event lines ride the same stream. The connection's
-// first line may be a tenant hello — {"token":"..."} — answered with
-// {"status":"ok","tenant":"..."}; without one the connection runs as
-// the anonymous tenant. And the server emits {"status":"degraded"} /
-// {"status":"durable"} lines on journal episode transitions (plus one
-// at connect when already degraded), so a plain-text producer learns
-// that acceptance is currently at-most-once — the NDJSON equivalent of
-// FlagDegraded, which only binary acks carry.
-func (s *Server) handleNDJSON(conn net.Conn, br *bufio.Reader) error {
-	ten, aerr := s.resolveTenant(nil)
-	if aerr != nil {
-		s.protoErrs.Add(1)
-		s.ndjsonError(conn, aerr.Error())
-		return nil
-	}
-	tenantOpen(ten)
-	defer func() { tenantClose(ten) }()
-	connDegraded := false
-	if s.cfg.Journal != nil && s.degraded() {
-		connDegraded = true
-		if s.write(conn, []byte("{\"status\":\"degraded\"}\n")) != nil {
-			return nil
-		}
-	}
-	const maxBatch = 256
-	batch := make([]event.Event, 0, maxBatch)
-	var enc Encoder
-	var jbuf []byte
-	// flush journals (when configured) and submits the batch; a false
-	// return means the connection must drop: the journal refused the
-	// batch (unacknowledged), or the producer did not take a status line.
-	// The bad-line paths flush the lines before the bad one and return on
-	// a false result too: in stream order the journal fault came first,
-	// so it is the one error the producer gets.
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		nowDegraded := connDegraded
-		if s.cfg.Journal != nil {
-			jbuf = enc.AppendEvents(jbuf[:0], batch)
-			jerr := s.journalBatch(0, 0, batch, jbuf)
-			switch {
-			case jerr == nil:
-				s.noteJournal(false)
-				nowDegraded = false
-			case errors.Is(jerr, ErrJournalDegraded):
-				// NDJSON has no ack frames to carry the degraded bit;
-				// accept lossily, account for it like the binary path and
-				// tell the producer with a status line below.
-				s.noteJournal(true)
-				s.lostDurable.Add(uint64(len(batch)))
-				nowDegraded = true
-			default:
-				s.logf("transport: %s: %v", conn.RemoteAddr(), jerr)
-				s.ndjsonError(conn, jerr.Error())
-				return false
-			}
-		}
-		s.submitBatch(ten, batch)
-		s.evNDJSON.Add(uint64(len(batch)))
-		if ten != nil {
-			ten.events.Add(uint64(len(batch)))
-		}
-		n := len(batch)
-		batch = batch[:0]
-		if nowDegraded != connDegraded {
-			connDegraded = nowDegraded
-			status := "durable"
-			if connDegraded {
-				status = "degraded"
-			}
-			if s.write(conn, fmt.Appendf(nil, "{\"status\":%q}\n", status)) != nil {
-				return false
-			}
-		}
-		// Rate-limit by stalling the read loop: the producer blocks in
-		// TCP flow control once the socket buffers fill.
-		s.throttle(ten, n)
-		return true
-	}
-	firstLine := true
-	var lineBuf []byte
-	for {
-		s.armIdle(conn)
-		line, err := readLineBounded(br, &lineBuf, s.cfg.MaxFrame)
-		if err == errLineTooLong {
-			if !flush() {
-				return nil
-			}
-			s.protoErrs.Add(1)
-			s.logf("transport: %s: ndjson line exceeds %d bytes", conn.RemoteAddr(), s.cfg.MaxFrame)
-			s.ndjsonError(conn, "line too long")
-			return nil
-		}
-		if trimmed := trimLine(line); len(trimmed) > 0 {
-			if token, ok := ndjsonHelloToken(trimmed); firstLine && ok {
-				firstLine = false
-				nt, terr := s.resolveTenant(token)
-				if terr != nil {
-					s.protoErrs.Add(1)
-					s.ndjsonError(conn, terr.Error())
-					return nil
-				}
-				// Rebind the connection count from the anonymous tenant
-				// (opened above) to the authenticated one.
-				tenantClose(ten)
-				ten = nt
-				tenantOpen(ten)
-				name := ""
-				if ten != nil {
-					name = ten.name
-				}
-				if s.write(conn, fmt.Appendf(nil, "{\"status\":\"ok\",\"tenant\":%q}\n", name)) != nil {
-					return nil
-				}
-				continue
-			}
-			firstLine = false
-			ev, perr := decodeNDJSONLine(trimmed, s.cfg.Registry)
-			if perr != nil {
-				if !flush() {
-					return nil
-				}
-				s.protoErrs.Add(1)
-				s.logf("transport: %s: %v", conn.RemoteAddr(), perr)
-				s.ndjsonError(conn, perr.Error())
-				return nil
-			}
-			batch = append(batch, ev)
-		}
-		if err != nil {
-			flush()
-			return err
-		}
-		if len(batch) >= maxBatch || br.Buffered() == 0 {
-			if !flush() {
-				return nil
-			}
-		}
-	}
-}
-
-// errLineTooLong reports an NDJSON line exceeding the frame bound.
-var errLineTooLong = errors.New("transport: ndjson line too long")
-
-// readLineBounded reads one newline-terminated line into *buf (reused
-// across calls), failing with errLineTooLong as soon as the
-// accumulated length exceeds max — unlike bufio's ReadBytes, it never
-// buffers an unbounded line before checking, so one newline-less
-// connection cannot grow server memory past the frame bound.
-func readLineBounded(br *bufio.Reader, buf *[]byte, max int) ([]byte, error) {
-	line := (*buf)[:0]
-	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		if len(line) > max {
-			*buf = line[:0]
-			return nil, errLineTooLong
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		*buf = line
-		return line, err
-	}
-}
-
-// trimLine strips the trailing newline and optional carriage return.
-func trimLine(line []byte) []byte {
-	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-		line = line[:len(line)-1]
-	}
-	return line
 }

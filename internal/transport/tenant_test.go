@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -367,6 +368,58 @@ func TestNDJSONTenantHello(t *testing.T) {
 	alpha, _ := tenantOf(srv.Stats(), "alpha")
 	if alpha.Events != 10 {
 		t.Fatalf("tenant alpha events %d, want 10", alpha.Events)
+	}
+}
+
+// TestNDJSONHelloStrictAuth: the hello line is judged before any
+// authentication, so an authenticator that rejects the nil token still
+// admits a hello with a good token — and still rejects a connection
+// whose first line is an event, as the anonymous tenant.
+func TestNDJSONHelloStrictAuth(t *testing.T) {
+	harness.VerifyNoLeaks(t)
+	sink := &tenantRecordSink{}
+	srv := startServer(t, ServerConfig{
+		Sink:         sink,
+		Authenticate: testAuth(map[string]TenantAuth{"tok-alpha": {Tenant: "alpha"}}),
+	})
+	exchange := func(lines string) string {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(lines)); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		reply, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(reply)
+	}
+
+	const event = "{\"seq\":1,\"type\":1,\"ts\":1000,\"kind\":0}\n"
+	if reply := exchange("{\"token\":\"tok-alpha\"}\n" + event); reply != "{\"status\":\"ok\",\"tenant\":\"alpha\"}\n" {
+		t.Fatalf("hello reply %q, want the ok line for alpha alone", reply)
+	}
+	if st := srv.Stats(); st.AuthFailures != 0 {
+		t.Fatalf("AuthFailures = %d after a good hello, want 0", st.AuthFailures)
+	}
+	if counts := sink.counts(); counts["alpha"] != 1 || len(counts) != 1 {
+		t.Fatalf("tenant attribution %v, want alpha:1", counts)
+	}
+
+	reply := exchange(event)
+	if !strings.HasPrefix(reply, "{\"error\":") || !strings.Contains(reply, "authentication failed") {
+		t.Fatalf("event-first reply %q, want an authentication error line", reply)
+	}
+	if st := srv.Stats(); st.AuthFailures != 1 {
+		t.Fatalf("AuthFailures = %d after an anonymous connection, want 1", st.AuthFailures)
+	}
+	if counts := sink.counts(); counts["alpha"] != 1 || len(counts) != 1 {
+		t.Fatalf("tenant attribution %v after the rejected connection, want alpha:1", counts)
 	}
 }
 
